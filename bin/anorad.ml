@@ -1061,6 +1061,22 @@ let pp_violation_headline ppf (vs : Radio_lint.Report.t) =
         (List.length vs)
         (if List.length vs = 1 then "" else "s")
 
+(* A fault plan file checked against the configuration it will run on: an
+   unreadable, malformed or out-of-range plan is a usage error (exit 2), not
+   an uncaught exception. *)
+let load_plan ~cmd config path =
+  let invalid msg =
+    Format.eprintf "anorad %s: invalid plan: %s@." cmd msg;
+    exit 2
+  in
+  let plan =
+    try Radio_faults.Fault_plan.read_file path
+    with Failure msg | Sys_error msg -> invalid msg
+  in
+  match Radio_faults.Fault_plan.validate config plan with
+  | Ok () -> plan
+  | Error msg -> invalid msg
+
 let check_trace_cmd =
   let plan_opt_arg =
     let doc =
@@ -1080,7 +1096,7 @@ let check_trace_cmd =
           let o = Engine.run ~max_rounds ~record_trace:true proto config in
           (o, Radio_lint.Invariants.validate ~protocol:proto o)
       | Some plan_path ->
-          let plan = Radio_faults.Fault_plan.read_file plan_path in
+          let plan = load_plan ~cmd:"check-trace" config plan_path in
           let fo =
             Radio_faults.Faulty_engine.run ~max_rounds ~record_trace:true
               plan proto config
@@ -1138,12 +1154,7 @@ let faults_cmd =
   in
   let run path plan_path max_rounds supervise =
     let config = load_config path in
-    let plan = FP.read_file plan_path in
-    (match FP.validate config plan with
-    | Ok () -> ()
-    | Error msg ->
-        Format.eprintf "anorad faults: invalid plan: %s@." msg;
-        exit 2);
+    let plan = load_plan ~cmd:"faults" config plan_path in
     let a = Fe.analyze config in
     let proto = Can.protocol a.Fe.plan in
     let fo = FE.run ~max_rounds ~record_trace:true plan proto config in

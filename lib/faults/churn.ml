@@ -37,16 +37,10 @@ let boundaries plan horizon =
   let rounds =
     List.filter_map
       (fun f ->
-        match f with
-        | Fault_plan.Crash { round; _ }
-        | Fault_plan.Link_down { round; _ }
-        | Fault_plan.Link_up { round; _ }
-        | Fault_plan.Leave { round; _ }
-        | Fault_plan.Join { round; _ }
-        | Fault_plan.Retag { round; _ } ->
-            if round < horizon then Some round else None
-        | Fault_plan.Drop _ | Fault_plan.Noise _ | Fault_plan.Jitter _ ->
-            None)
+        match (f, Fault_plan.round_of f) with
+        | (Fault_plan.Drop _ | Fault_plan.Noise _), _ -> None
+        | _, Some round when round < horizon -> Some round
+        | _ -> None)
       (Fault_plan.normalize plan)
   in
   List.sort_uniq compare (0 :: rounds)
@@ -54,30 +48,11 @@ let boundaries plan horizon =
 (* Events applied at a boundary, in the engine's application order:
    topology events (normalized order) first, then crashes. *)
 let events_at plan r =
-  let at round = round = r in
-  let topo =
-    List.filter
-      (fun f ->
-        match f with
-        | Fault_plan.Link_down { round; _ }
-        | Fault_plan.Link_up { round; _ }
-        | Fault_plan.Leave { round; _ }
-        | Fault_plan.Join { round; _ }
-        | Fault_plan.Retag { round; _ } ->
-            at round
-        | Fault_plan.Crash _ | Fault_plan.Drop _ | Fault_plan.Noise _
-        | Fault_plan.Jitter _ ->
-            false)
+  let at f = Fault_plan.round_of f = Some r in
+  List.filter at (Fault_plan.topology_events plan)
+  @ List.filter
+      (fun f -> match f with Fault_plan.Crash _ -> at f | _ -> false)
       (Fault_plan.normalize plan)
-  and crashes =
-    List.filter
-      (fun f ->
-        match f with
-        | Fault_plan.Crash { round; _ } -> at round
-        | _ -> false)
-      (Fault_plan.normalize plan)
-  in
-  topo @ crashes
 
 (* An event that asks for a state the network is already in (flapping a
    link down twice, a leave of an absent node) is inert, exactly as in the

@@ -1,79 +1,28 @@
-(** The fault-injecting radio engine.
+(** The fault-injecting radio engine: the faulted entry point of
+    {!Radio_sim.Engine}, whose documentation states the fault semantics
+    and the ledger.
 
     [run plan proto config] executes [proto] on [config] under the
     deviations described by [plan], with the {e identity law}: with
     {!Fault_plan.empty} the produced {!Radio_sim.Engine.outcome} is
-    bit-for-bit identical to what {!Radio_sim.Engine.run} produces — the
-    fault layer costs a handful of branch tests per round (the bench
-    harness asserts the empty-plan overhead stays within 5%).
+    bit-for-bit what {!Radio_sim.Engine.run} produces — both are the same
+    round loop. *)
 
-    Fault semantics per global round [r] (in order):
-
-    + {b crash}: a node whose crash round is [r] dies before acting — it
-      neither decides, transmits, observes, wakes nor terminates from round
-      [r] on.  Its history simply stops.  A crash scheduled after the node
-      already terminated is a no-op and does not fire.
-    + {b decisions}: as in the pristine engine, for live running nodes.
-    + {b drops}: a dropped directed copy [src -> dst] is removed from the
-      air before anyone counts transmissions — [dst] neither hears it nor
-      counts it towards a collision or a forced wake-up.
-    + {b noise}: after drops, a noisy listening node hears [Collision]
-      whatever remains in the air, and a noisy sleeping node cannot be
-      woken this round (collisions do not wake; its tag may still wake it
-      spontaneously).
-
-    {b Topology events} ({!Fault_plan.has_topology}) precede even the
-    crashes of their round, applied in normalized order:
-
-    - [Link_down]/[Link_up] toggle an undirected link in the air; a toggle
-      to the state the link is already in is inert.  Links may come up
-      that the base graph never had.
-    - [Leave] removes a present, non-crashed node: its history stops, its
-      [done_local] stays [-1] unless it had already terminated, and
-      [departed_at] records the round.
-    - [Join] revives an absent (left, never crashed) node as a {e fresh}
-      protocol instance with an {e empty history} — the incarnation before
-      departure is discarded from [base.histories].  The new alarm is
-      global round [max tag r].  Joins scheduled after every other node
-      terminated never execute: the run ends when no running node remains.
-    - [Retag] moves a still-sleeping node's alarm to [max tag r]; awake,
-      terminated, crashed or absent nodes are unaffected.
-
-    When the plan has no topology events the engine keeps the static-graph
-    fast path, preserving the identity law byte-for-byte.
-
-    The {b ledger} records every fault that actually fired — changed some
-    node's execution or the network state — with the global round and the
-    nodes that perceived a difference.  Faults that were scheduled but
-    changed nothing (a drop on a silent round, noise at a terminated node,
-    a crash after termination, a link flap to the current state, a retag
-    of an awake node) do not fire and are absent from the ledger. *)
-
-type fired = {
+type fired = Radio_sim.Engine.fired = {
   round : int;  (** global round in which the fault took effect *)
   fault : Fault_plan.fault;
-  observed_by : int list;
-      (** nodes whose perception the fault altered, ascending; empty when
-          the deviation is invisible (e.g. a crash, or a drop towards a
-          sleeping node that its tag would not have woken) *)
+  observed_by : int list;  (** nodes whose perception the fault altered *)
 }
 
-type outcome = {
+type outcome = Radio_sim.Engine.faulted = {
   base : Radio_sim.Engine.outcome;
-      (** engine-compatible result; [base.config] is the {e effective}
-          (jitter-applied) configuration the run actually executed, and
-          [base.all_terminated] means {e every non-crashed node}
-          terminated.  Crashed nodes keep [done_local = -1]. *)
   original : Radio_config.Config.t;  (** the configuration before jitter *)
   plan : Fault_plan.t;
   crashed_at : int array;
-      (** per node: the global round it crash-stopped, [-1] if it never
-          crashed (including crashes scheduled after termination) *)
   departed_at : int array;
-      (** per node: the global round of its last un-rejoined [Leave],
-          [-1] if present at the end of the run *)
   ledger : fired list;  (** chronological *)
 }
+(** See {!Radio_sim.Engine.faulted}. *)
 
 val run :
   ?max_rounds:int ->
@@ -82,7 +31,8 @@ val run :
   Radio_drip.Protocol.t ->
   Radio_config.Config.t ->
   outcome
-(** Same defaults as {!Radio_sim.Engine.run} (100_000 rounds, no trace). *)
+(** {!Radio_sim.Engine.run_faulted}: same defaults as
+    {!Radio_sim.Engine.run} (100_000 rounds, no trace). *)
 
 val surviving_winners :
   (Radio_drip.History.t -> bool) -> outcome -> int list
@@ -99,7 +49,5 @@ val outcome_equal :
 (** Field-by-field equality of engine outcomes (configurations compared
     with {!Radio_config.Config.equal}) — the predicate behind the identity
     law and the replay-determinism property tests. *)
-
-val pp_fired : Format.formatter -> fired -> unit
 
 val pp_ledger : Format.formatter -> fired list -> unit

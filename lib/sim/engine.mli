@@ -1,4 +1,5 @@
-(** The synchronous radio-network engine.
+(** The synchronous radio-network engine: the one round loop of the
+    repository (the naive {!Spec_engine} is its independent oracle).
 
     Executes one anonymous protocol on a configuration, implementing the
     model of Miller–Pelc–Yadav Section 1.1/2.1 verbatim:
@@ -15,6 +16,51 @@
       noise ([Collision]) if more than one does, and silence otherwise; a
       transmitting node hears nothing ([Silence]);
     - terminated nodes are permanently silent and deaf.
+
+    {!run_faulted} runs the same loop under the deviations of a
+    {!Fault_plan}; {!run} is that loop with {!Fault_plan.empty}, whose
+    guards skip every fault lookup and liveness test.  Fault semantics per
+    global round [r], in order:
+
+    + {b topology events} ({!Fault_plan.has_topology}), in normalized
+      order:
+      - [Link_down]/[Link_up] toggle an undirected link in the air; a
+        toggle to the state the link is already in is inert.  Links may
+        come up that the base graph never had.
+      - [Leave] removes a present, non-crashed node: its history stops, its
+        [done_local] stays [-1] unless it had already terminated, and
+        [departed_at] records the round.
+      - [Join] revives an absent (left, never crashed) node as a {e fresh}
+        protocol instance with an {e empty history} — the incarnation
+        before departure is discarded from [base.histories].  The new alarm
+        is global round [max tag r].  Joins scheduled after every other
+        node terminated never execute: the run ends when no running node
+        remains.
+      - [Retag] moves a still-sleeping node's alarm to [max tag r]; awake,
+        terminated, crashed or absent nodes are unaffected.
+    + {b crash}: a node whose (earliest) crash round is [r] dies before
+      acting — it neither decides, transmits, observes, wakes nor
+      terminates from round [r] on.  Its history simply stops.  A crash
+      scheduled after the node terminated, or while it is absent, is a
+      no-op and does not fire.
+    + {b decisions}: as in the pristine model, for live running nodes.
+    + {b drops}: a dropped directed copy [src -> dst] is removed from the
+      air before anyone counts transmissions — [dst] neither hears it nor
+      counts it towards a collision or a forced wake-up.
+    + {b noise}: after drops, a noisy listening node hears [Collision]
+      whatever remains in the air, and a noisy sleeping node cannot be
+      woken this round (collisions do not wake; its tag may still wake it
+      spontaneously).
+
+    {b Jitter} shifts wake-up tags before round 0 (see
+    {!Fault_plan.apply_jitter}).
+
+    The {b ledger} records every fault that actually fired — changed some
+    node's execution or the network state — with the global round and the
+    nodes that perceived a difference.  Faults that were scheduled but
+    changed nothing (a drop on a silent round, noise at a terminated node,
+    a crash after termination, a link flap to the current state, a retag
+    of an awake node) do not fire and are absent from the ledger.
 
     The engine is deterministic given a deterministic protocol; randomized
     protocols own their random state. *)
@@ -44,6 +90,44 @@ type outcome = {
 exception Round_limit_exceeded of outcome
 (** Raised by {!run_exn} when some node is still running after [max_rounds]
     global rounds. *)
+
+type fired = {
+  round : int;  (** global round in which the fault took effect *)
+  fault : Fault_plan.fault;
+  observed_by : int list;
+      (** nodes whose perception the fault altered, ascending; empty when
+          the deviation is invisible (e.g. a crash, or a drop towards a
+          sleeping node that its tag would not have woken) *)
+}
+
+type faulted = {
+  base : outcome;
+      (** [base.config] is the {e effective} (jitter-applied) configuration
+          the run actually executed, and [base.all_terminated] means
+          {e every present, non-crashed node} terminated.  Crashed nodes
+          keep [done_local = -1]. *)
+  original : Radio_config.Config.t;  (** the configuration before jitter *)
+  plan : Fault_plan.t;
+  crashed_at : int array;
+      (** per node: the global round it crash-stopped, [-1] if it never
+          crashed (including crashes scheduled after termination) *)
+  departed_at : int array;
+      (** per node: the global round of its last un-rejoined [Leave], [-1]
+          if present at the end of the run *)
+  ledger : fired list;  (** chronological *)
+}
+
+val run_faulted :
+  ?max_rounds:int ->
+  ?record_trace:bool ->
+  Fault_plan.t ->
+  Radio_drip.Protocol.t ->
+  Radio_config.Config.t ->
+  faulted
+(** Runs under the plan until every present, non-crashed node has
+    terminated or [max_rounds] (default 100_000) global rounds have
+    elapsed.  With {!Fault_plan.empty}, [base] is exactly {!run}'s outcome
+    (the identity law). *)
 
 val run :
   ?max_rounds:int ->

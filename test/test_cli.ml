@@ -321,7 +321,22 @@ let test_check_trace_plan_cli () =
           check_int "violation exit 2" 2 code;
           check "headline names the invariant" true
             (contains out "check-trace: FAILED: invariant \"");
-          check "headline names the node" true (contains out "at node 0")))
+          check "headline names the node" true (contains out "at node 0"));
+      (* An out-of-range plan is a usage error, as in 'anorad faults'. *)
+      with_plan "faults\ndrop 7 1 2\n" (fun plan ->
+          let code, _ =
+            anorad
+              (Printf.sprintf "check-trace %s --plan %s" (Filename.quote cfg)
+                 (Filename.quote plan))
+          in
+          check_int "invalid plan exit 2" 2 code);
+      with_plan "faults\nbogus 1\n" (fun plan ->
+          let code, _ =
+            anorad
+              (Printf.sprintf "check-trace %s --plan %s" (Filename.quote cfg)
+                 (Filename.quote plan))
+          in
+          check_int "malformed plan exit 2" 2 code))
 
 (* ------------------------------------------------------------------ *)
 (* lint: flags, exit codes, SARIF, baseline                            *)

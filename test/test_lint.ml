@@ -153,6 +153,12 @@ let fault_purity_tests =
     Alcotest.test_case "ambient randomness flagged in lib/faults" `Quick
       (check_flags "fault-purity" ~path:"lib/faults/supervisor.ml"
          "let () = Random.self_init ()\n");
+    Alcotest.test_case "wall-clock flagged in lib/sim fault plans" `Quick
+      (check_flags "fault-purity" ~path:"lib/sim/fault_plan.ml"
+         "let now = Unix.gettimeofday ()\n");
+    Alcotest.test_case "ambient randomness flagged in lib/sim engine" `Quick
+      (check_flags "fault-purity" ~path:"lib/sim/engine.ml"
+         "let () = Random.self_init ()\n");
     Alcotest.test_case "same source clean outside lib/faults" `Quick
       (check_clean "fault-purity" ~path:"lib/analysis/foo.ml"
          "let now = Unix.gettimeofday ()\n");
@@ -330,6 +336,9 @@ let ast_ported_tests =
     Alcotest.test_case "fault purity: wall clock flagged" `Quick
       (check_ast_flags "fault-purity" ~path:"lib/faults/foo.ml"
          "let now = Unix.gettimeofday ()\n");
+    Alcotest.test_case "fault purity: Sys.time flagged in lib/sim" `Quick
+      (check_ast_flags "fault-purity" ~path:"lib/sim/fault_plan.ml"
+         "let t0 = Sys.time ()\n");
     Alcotest.test_case "allow suppresses AST rule" `Quick
       (check_ast_clean "random" ~path:"lib/core/foo.ml"
          "(* radiolint: allow random — seeded by caller *)\n\

@@ -18,6 +18,9 @@ module Fast = Election.Fast_classifier
 module Can = Election.Canonical
 module Fe = Election.Feasibility
 module Label = Election.Label
+module FP = Radio_faults.Fault_plan
+module FE = Radio_faults.Faulty_engine
+module Spec = Radio_sim.Spec_engine
 
 (* Random configuration generator shared by all properties: connected
    G(n,p) or random tree, small n so thousands of cases stay fast. *)
@@ -304,7 +307,8 @@ let prop_decision_unique_winner =
       List.length winners = 1)
 
 (* P13: the optimized engine and the executable specification agree on
-   arbitrary scripted protocols. *)
+   arbitrary scripted protocols, pristine and under random fault plans
+   (crashes, drops, noise, jitter, link flaps, node flaps, retags). *)
 let prop_engine_matches_spec =
   QCheck.Test.make ~name:"engine == executable specification" ~count:500
     gen_config (fun params ->
@@ -327,8 +331,23 @@ let prop_engine_matches_spec =
           ~observe:(fun i _ -> i + 1)
       in
       let o = checked_run ~max_rounds:10_000 proto config in
-      let s = Radio_sim.Spec_engine.run ~max_rounds:10_000 proto config in
-      Radio_sim.Spec_engine.agrees_with_engine s o)
+      let s = Spec.run ~max_rounds:10_000 proto config in
+      (* The same protocol under a random plan mixing every fault kind. *)
+      let n = C.size config in
+      let k () = Random.State.int st 3 in
+      let dense () = Random.State.int st (n + 3) in
+      let plan =
+        FP.sample ~seed ~crashes:(k ()) ~drops:(dense ()) ~noise:(dense ())
+          ~jitters:(k ()) ~link_flaps:(k ()) ~node_flaps:(k ()) ~retags:(k ())
+          ~horizon:((3 * (n + C.span config)) + 5)
+          config
+      in
+      let fo = FE.run ~max_rounds:10_000 plan proto config in
+      let fs = Spec.run ~max_rounds:10_000 ~plan proto config in
+      Spec.agrees_with_engine s o
+      && Spec.agrees_with_engine fs fo.FE.base
+      && fs.Spec.crashed_at = fo.FE.crashed_at
+      && fs.Spec.departed_at = fo.FE.departed_at)
 
 (* P14: the pure (history-function) canonical DRIP is the state machine. *)
 let prop_pure_drip_equivalence =
@@ -488,13 +507,9 @@ let prop_invariant_checker_traced =
 (* Fault layer (lib/faults)                                            *)
 (* ------------------------------------------------------------------ *)
 
-module FP = Radio_faults.Fault_plan
-module FE = Radio_faults.Faulty_engine
-
-(* P25 (the identity law): the fault-injecting engine under the empty plan
+(* P25 (the identity law): the faulted entry point under the empty plan
    reproduces the pristine engine bit for bit — traces included — on the
-   whole property universe.  This is the contract that lets the fault layer
-   exist without forking the simulator (faulty_engine.mli). *)
+   whole property universe (engine.mli). *)
 let prop_empty_plan_identity =
   QCheck.Test.make ~name:"empty fault plan == pristine engine (identity law)"
     ~count:300 gen_config (fun params ->

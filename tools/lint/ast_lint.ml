@@ -64,8 +64,8 @@ let msg_hashtbl =
    ordered map in deterministic paths"
 
 let msg_fault_purity =
-  "fault plans are pure data: lib/faults/ must not consult ambient \
-   randomness or wall-clock time — derive everything from the explicit \
+  "fault plans are pure data: lib/faults/ and lib/sim/ must not consult \
+   ambient randomness or wall-clock time — derive everything from the explicit \
    integer seed (fault_plan.mli)"
 
 let msg_random_alias =
@@ -132,7 +132,7 @@ let lint_structure ~path ~allowed ast =
   let in_lib = Rules.under_lib path in
   let random_banned = in_lib && not (Rules.random_allowed path) in
   let hot = Rules.deterministic_hot_path path in
-  let faults = Rules.in_faults path in
+  let faults = Rules.fault_scope path in
   let boundary = Rules.deterministic_boundary path in
   let canon = Rules.canonical_order_path path in
   let exec = Rules.in_exec path in

@@ -256,7 +256,8 @@ let deterministic_hot_path path =
   || contains ~needle:"lib/drip/" path
   || contains ~needle:"lib/sim/" path
 
-let in_faults path = contains ~needle:"lib/faults/" path
+let fault_scope path =
+  contains ~needle:"lib/faults/" path || contains ~needle:"lib/sim/" path
 
 (* The one directory allowed to touch the multicore runtime: the domain
    pool and its merge protocols live there, everything else goes through
@@ -280,7 +281,7 @@ let canonical_order_path path =
 
 (* The declared purity boundary: directories whose code must be a
    deterministic function of local history (docs/LINTING.md). *)
-let deterministic_boundary path = deterministic_hot_path path || in_faults path
+let deterministic_boundary path = deterministic_hot_path path || fault_scope path
 
 type line_rule = {
   name : string;
@@ -317,7 +318,7 @@ let line_rules =
     };
     {
       name = "fault-purity";
-      applies = in_faults;
+      applies = fault_scope;
       hit =
         (fun l ->
           has_module_needle ~needle:"Random.self_init" l
@@ -328,8 +329,8 @@ let line_rules =
           || has_module_needle ~needle:"Unix.gmtime" l
           || has_module_needle ~needle:"Sys.time" l);
       message =
-        "fault plans are pure data: lib/faults/ must not consult ambient \
-         randomness or wall-clock time — derive everything from the \
+        "fault plans are pure data: lib/faults/ and lib/sim/ must not consult \
+         ambient randomness or wall-clock time — derive everything from the \
          explicit integer seed (fault_plan.mli)";
     };
     {

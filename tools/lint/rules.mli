@@ -50,8 +50,9 @@ val random_allowed : string -> bool
 val deterministic_hot_path : string -> bool
 (** [lib/core/], [lib/drip/], [lib/sim/]. *)
 
-val in_faults : string -> bool
-(** [lib/faults/]. *)
+val fault_scope : string -> bool
+(** [lib/faults/] and [lib/sim/]: the [fault-purity] scope, covering the
+    fault plans and the fault-aware round loop. *)
 
 val in_exec : string -> bool
 (** [lib/exec/]: the only directory allowed to use the multicore runtime
@@ -67,7 +68,7 @@ val canonical_order_path : string -> bool
     on structured data (see {!Ast_lint}). *)
 
 val deterministic_boundary : string -> bool
-(** The declared purity boundary ([deterministic_hot_path] or [in_faults]):
+(** The declared purity boundary ([deterministic_hot_path] or [fault_scope]):
     code here must stay a deterministic function of local history. *)
 
 val lines_of : string -> string array
