@@ -1,19 +1,20 @@
 # Single entry point for CI and local hygiene: `make check` runs the
 # build, the test battery (which includes the model-conformance checks),
-# the source lint (shallow and deep), the formatting check, and the
-# resilience smoke run.
+# the source lint (shallow and deep), the formatting check, the smoke
+# runs and the benchmark's self-test.
 
 DUNE ?= dune
 
 .PHONY: check build test lint lint-deep lint-effects lint-ranges \
   lint-partiality lint-sarif fmt resilience-smoke mc-smoke par-smoke \
-  churn-smoke serve-smoke bench-churn bench-parallel bench-serve clean
+  churn-smoke serve-smoke bench-selftest bench-churn bench-parallel \
+  bench-serve clean
 
 # lint-deep implies --effects, --ranges and --partiality over a superset of
 # their roots, so check runs each analysis once, through lint-deep; the
 # three single-analysis targets stay for standalone use.
 check: build test lint lint-deep fmt resilience-smoke mc-smoke par-smoke \
-  churn-smoke serve-smoke
+  churn-smoke serve-smoke bench-selftest
 
 build:
 	$(DUNE) build
@@ -191,6 +192,12 @@ serve-smoke:
 	    echo "serve-smoke: warm replay differs from cold run"; status=1; }; \
 	fi; \
 	rm -f $$script $$a $$b; exit $$status
+
+# The benchmark's own answer checks (perfbench/selftest.py): a corrupted,
+# wrong, missing or fatal serve response must count as exactly one failed
+# op.  Runs in about a second against a scripted stand-in daemon.
+bench-selftest:
+	python3 perfbench/selftest.py
 
 # E22 only: regenerate the serve series (BENCH_serve.json) in the working
 # directory.

@@ -981,11 +981,10 @@ let e19 () =
           string_of_int sf.Checker.states_explored;
           Printf.sprintf "%.1f%%" (100.0 *. saved);
         ];
-      (* Parallel frontier expansion on the big rows: identical stats at
-         every job count (the wave-determinism contract), throughput per
-         pool size recorded alongside.  On a single-core host the extra
-         domains only add scheduling overhead — host_cores in the JSON
-         says which regime a row was measured in. *)
+      (* The big rows again with a pool passed in: the explorer is
+         sequential and ignores it, so the stats must equal the jobs-1
+         row and the throughput differs only by the pool's idle domains
+         (host_cores in the JSON records the host). *)
       if s.Checker.states_explored >= 100_000 then
         List.iter
           (fun jobs ->
@@ -1041,7 +1040,7 @@ let e19 () =
      so the quotient collapses the crash adversary's choice of victim -\n\
      the reduction column is the visited-set saving it buys.  Conclusive\n\
      rows verified canonicalizations = states_raw + 1 (one quotient map\n\
-     per successor); parallel rows verified bit-identical to jobs 1.\n"
+     per successor); rows run with a pool verified identical to jobs 1.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E20 - lib/exec: domain-pool sweeps, sequential vs parallel          *)

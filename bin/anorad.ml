@@ -47,9 +47,15 @@ let config_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CONFIG" ~doc)
 
+(* An unreadable or malformed configuration is a usage error (exit 2), not
+   an uncaught exception. *)
 let load_config path =
-  if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
-  else CIo.read_file path
+  try
+    if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
+    else CIo.read_file path
+  with Failure msg | Sys_error msg ->
+    Format.eprintf "anorad: invalid config: %s@." msg;
+    exit 2
 
 let impl_arg =
   let doc = "Classifier implementation: 'reference' (literal Algorithms 1-4) or 'fast' (hash-based refinement)." in
@@ -863,10 +869,10 @@ let mc_cmd =
     write_sarif sarif results;
     if Oracle.consistent report then 0 else 1
   in
-  let run_explore config depth states faults reduction jobs =
+  let run_explore config depth states faults reduction =
     (* Liveness and timing on stderr only: stdout must stay
-       byte-comparable across runs and across --jobs levels
-       (make mc-smoke diffs it). *)
+       byte-comparable across runs (make mc-smoke diffs it).  Exploration
+       is sequential, so no pool is created and --jobs has no effect. *)
     let t0 = Unix.gettimeofday () in
     let ticked = ref false in
     let progress ~round ~frontier ~explored ~bytes =
@@ -877,9 +883,7 @@ let mc_cmd =
         (float_of_int bytes /. 1_048_576.)
     in
     let exploration =
-      with_jobs_pool jobs (fun pool ->
-          Checker.explore ?depth ?states ~reduction ~faults ~pool ~progress
-            config)
+      Checker.explore ?depth ?states ~reduction ~faults ~progress config
     in
     if !ticked then prerr_newline ();
     let st = exploration.Checker.stats in
@@ -979,7 +983,7 @@ let mc_cmd =
         | Some path -> (
             let config = load_config path in
             if explore then
-              run_explore config depth states faults (not no_reduction) jobs
+              run_explore config depth states faults (not no_reduction)
             else
               match Radio_mc.Machine.of_name config protocol with
               | Some machine ->
@@ -1033,6 +1037,12 @@ let mc_cmd =
          trace in the same format the engine records; replaying the \
          machine concretely ($(b,--replay)) re-derives it bit-for-bit and \
          runs the full model-conformance checker on the outcome.";
+      `S "PARALLELISM";
+      `P
+        "$(b,--jobs) spreads the $(b,--oracle) sweep over worker domains. \
+         $(b,--explore) always runs sequentially: its visited-set probe \
+         dominates and does not split across domains, so $(b,--jobs) does \
+         not change it.";
     ]
   in
   Cmd.v

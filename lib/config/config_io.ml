@@ -47,8 +47,16 @@ let of_string s =
         | [ u; v ] -> (int_token "edge endpoint" u, int_token "edge endpoint" v)
         | _ -> failwith ("Config_io.of_string: bad edge line: " ^ line)
       in
-      let graph = G.of_edges n (List.map parse_edge rest) in
-      Config.create ~normalize:false graph tags
+      (* Self-loops, duplicate edges and out-of-range vertices are
+         malformed input too: report them as [Failure] like every other
+         parse error. *)
+      let graph =
+        try G.of_edges n (List.map parse_edge rest)
+        with G.Invalid_edge msg -> failwith ("Config_io.of_string: " ^ msg)
+      in
+      (try Config.create ~normalize:false graph tags
+       with Config.Invalid_configuration msg ->
+         failwith ("Config_io.of_string: " ^ msg))
   | _ -> failwith "Config_io.of_string: need a header and a tags line"
 
 let to_dot ?(name = "C") c =

@@ -11,7 +11,8 @@
 val to_string : Config.t -> string
 
 val of_string : string -> Config.t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed input, including self-loops, duplicate
+    edges, out-of-range vertices and negative tags. *)
 
 val to_dot : ?name:string -> Config.t -> string
 (** DOT export with nodes labelled ["v<i> (t=<tag>)"]. *)

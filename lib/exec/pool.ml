@@ -369,28 +369,6 @@ let map_reduce t ?chunk ~f ~init ~merge xs =
 let iter_batches t ?chunk ~f xs =
   run_batch t ?chunk ~f:(fun _ x -> f x) ~commit:(fun _ () -> ()) (Array.of_list xs)
 
-(* One contiguous chunk per worker, each mapped as a single task.  The
-   shape callers with per-task set-up costs (task-local interner views,
-   scratch tables) want: Optimal.breaking_time and Checker.explore both
-   learned the hard way that a view per *element* costs more than the
-   element's work.  Chunk boundaries depend only on [jobs t], so a given
-   pool maps a given array identically every time; the caller owns making
-   results independent of the boundaries themselves (Intern's commit
-   protocol does exactly that). *)
-let map_chunked t ~f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let jobs = jobs t in
-    let chunk = (n + jobs - 1) / jobs in
-    let nchunks = (n + chunk - 1) / chunk in
-    let chunks =
-      Array.init nchunks (fun c ->
-          Array.sub xs (c * chunk) (Int.min chunk (n - (c * chunk))))
-    in
-    map_array t ~chunk:1 ~f chunks
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)

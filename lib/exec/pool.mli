@@ -94,17 +94,6 @@ val iter_batches : t -> ?chunk:int -> f:('a -> unit) -> 'a list -> unit
     of the call is a barrier: every task has finished when it returns.
     [f] must be safe to run concurrently with itself. *)
 
-val map_chunked : t -> f:('a array -> 'b) -> 'a array -> 'b array
-(** [map_chunked pool ~f xs] splits [xs] into one contiguous chunk per
-    worker and maps [f] over the chunks (each chunk one task), returning
-    the per-chunk results in submission order.  This is the combinator
-    for frontier-expansion loops whose tasks carry per-task set-up cost —
-    an {!Intern} local view, a scratch table — that a per-element split
-    would pay per element: the chunk count equals [jobs pool], so that
-    cost is paid once per worker per batch.  [f] runs on worker domains
-    and must obey the same [<= LocalMut] escape discipline as every other
-    task closure (docs/PARALLEL.md; enforced by [anorad lint --effects]). *)
-
 (** {1 Telemetry} *)
 
 type stats = {

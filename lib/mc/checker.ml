@@ -7,8 +7,6 @@ module Classifier = Election.Classifier
 module Fast_classifier = Election.Fast_classifier
 module Canonical = Election.Canonical
 module Symmetry = Election.Symmetry
-module Pool = Radio_exec.Pool
-module Interner = Radio_exec.Intern
 
 type budget =
   [ `Depth
@@ -282,78 +280,127 @@ type exploration = {
   stats : stats;
 }
 
-let distinct_awake_keys (s : State.t) =
-  List.sort_uniq Int.compare
-    (List.filter (fun k -> k > 0) (Array.to_list s))
-
-let rec subsets = function
-  | [] -> [ [] ]
-  | x :: rest ->
-      let s = subsets rest in
-      s @ List.map (fun t -> x :: t) s
-
+(* Some running node's key is held by no other node (running or not). *)
 let separated (s : State.t) =
   let n = Array.length s in
-  let unique v =
-    s.(v) > 0
-    &&
-    let rec inner w =
-      w >= n || ((w = v || abs s.(w) <> s.(v)) && inner (w + 1))
-    in
-    inner 0
-  in
-  let rec outer v = v < n && (unique v || outer (v + 1)) in
-  outer 0
+  let found = ref false in
+  let v = ref 0 in
+  while (not !found) && !v < n do
+    let k = s.(!v) in
+    if k > 0 then begin
+      let w = ref 0 in
+      while !w < n && (!w = !v || abs s.(!w) <> k) do
+        incr w
+      done;
+      if !w = n then found := true
+    end;
+    incr v
+  done;
+  !found
 
-(* Int-coded receive events for the universal explorer.  The boxed
-   {!State.event} carries its message as a string — an allocation per
-   reception.  Universal-mode messages are always the sender's class key,
-   so an int payload suffices; the constructor map to
-   [E_silence]/[E_message]/[E_collision] is a bijection, so the interned
-   key space (and with it every state count) is unchanged. *)
-type uevent =
-  | Uev_silence
-  | Uev_msg of int
-  | Uev_noise
+(* History keys of the universal explorer: an open-addressing table from
+   [(parent key, event code)] to a dense key handed out from 1 in
+   first-seen order.  Event codes: 0 silence, 1 noise, [m + 2] the message
+   [m] — universal-mode messages are always the sender's class key, so an
+   int names every event.  Keys are compared as two ints in unboxed
+   arrays: a lookup allocates nothing. *)
+module Keys = struct
+  type t = {
+    mutable table : int array;  (* key; 0 = empty *)
+    mutable mask : int;  (* capacity - 1, capacity a power of two *)
+    mutable parents : int array;  (* index key - 1 *)
+    mutable codes : int array;  (* index key - 1 *)
+    mutable count : int;
+  }
 
-(* A successor as generated on a worker.  Slot ids come straight from the
-   interner view — non-negative global ids or negative provisional ones —
-   so the terminated/crashed sign convention of {!State.t} cannot be
-   applied yet: a provisional id's own sign would be ambiguous.  The sign
-   bit travels out-of-band in the [udead] mask and is applied at commit,
-   after ids resolve. *)
-type usucc = {
-  uslots : int array;  (* unsigned interner ids; 0 = asleep *)
-  udead : int;  (* bitmask: node terminated or crashed *)
-  uspent : int;  (* crash budget spent *)
-}
+  let create () =
+    {
+      table = Array.make 1024 0;
+      mask = 1023;
+      parents = Array.make 512 0;
+      codes = Array.make 512 0;
+      count = 0;
+    }
 
-(* Frontier waves: each BFS level is expanded in slices of this many
-   entries — generate the whole slice (in parallel when a pool is given),
-   then commit it in submission order.  The size is a constant, never
-   derived from the worker count, so wave boundaries — and with them
-   interning order, cap trips and every stat — are identical at every
-   [--jobs] level.  Sized so one wave's generated successors stay within
-   the workers' minor heaps: a generated wave is held alive until its
-   commit, so an over-sized wave would promote every successor record to
-   the major heap and hand the parallel path a GC bill the sequential
-   path never pays. *)
+  let hash parent code =
+    (* radiolint: allow range-overflow -- multiplicative mixing wraps by
+       design *)
+    let h = (parent * 0x1e3779b97f4a7c15) + code in
+    h lxor (h lsr 29)
+
+  let place table mask key parent code =
+    let i = ref (hash parent code land mask) in
+    while table.(!i) <> 0 do
+      i := (!i + 1) land mask
+    done;
+    table.(!i) <- key
+
+  let grow t =
+    (* radiolint: allow range-overflow -- table doubling, bounded by
+       allocatable memory *)
+    let capacity = 2 * (t.mask + 1) in
+    let table = Array.make capacity 0 in
+    for k = 1 to t.count do
+      place table (capacity - 1) k t.parents.(k - 1) t.codes.(k - 1)
+    done;
+    t.table <- table;
+    t.mask <- capacity - 1;
+    let parents = Array.make (capacity / 2) 0 in
+    let codes = Array.make (capacity / 2) 0 in
+    Array.blit t.parents 0 parents 0 t.count;
+    Array.blit t.codes 0 codes 0 t.count;
+    t.parents <- parents;
+    t.codes <- codes
+
+  let get t parent code =
+    let i = ref (hash parent code land t.mask) in
+    let key = ref 0 in
+    while !key = 0 do
+      match t.table.(!i) with
+      | 0 ->
+          let k = t.count + 1 in
+          t.parents.(k - 1) <- parent;
+          t.codes.(k - 1) <- code;
+          t.table.(!i) <- k;
+          t.count <- k;
+          key := k;
+          (* Load factor 1/2; [parents] and [codes] hold half the table's
+             capacity, so they grow in the same step. *)
+          if 2 * k >= t.mask + 1 then grow t
+      | k when t.parents.(k - 1) = parent && t.codes.(k - 1) = code ->
+          key := k
+      | _ -> i := (!i + 1) land t.mask
+    done;
+    !key
+
+  let size t = t.count
+end
+
+(* Each BFS level is expanded in slices of this many frontier entries,
+   with the state cap checked and progress reported between slices.  The
+   slices bound how far past the cap a level keeps generating (and
+   interning) successors, so [distinct_keys] on a cap trip depends on this
+   constant. *)
 let wave_entries = 2_048
 
 let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
-    ?(faults = 0) ?pool ?progress config =
+    ?(faults = 0) ?pool:_ ?progress config =
   let config = normalize config in
   let g = C.graph config in
   let n = C.size config in
   if n = 0 then invalid_arg "Checker.explore: empty configuration";
-  if n > 62 then invalid_arg "Checker.explore: crash mask supports n <= 62";
+  if n > 62 then
+    invalid_arg "Checker.explore: transmitter masks support n <= 62";
   let autos = if reduction then Symmetry.automorphisms config else [] in
-  let max_tag = Array.fold_left (fun a t -> if t > a then t else a) 0 (C.tags config) in
+  let group = State.group autos in
+  let tags = C.tags config in
+  let max_tag = Array.fold_left Int.max 0 tags in
   (* Spontaneous wake-ups are spent after [max_tag]: beyond it the
      transition relation is round-invariant and states may be merged
      across rounds. *)
   let round_class r = if r > max_tag then max_tag + 1 else r in
-  let intern : (int * uevent) Interner.t = Interner.create ~first:1 () in
+  let nbrs = Array.init n (fun v -> Array.of_list (G.neighbours g v)) in
+  let keys = Keys.create () in
   let visited = Visited.create ~slots:n () in
   let raw = ref 0 in
   let canonicalizations = ref 0 in
@@ -361,148 +408,143 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
   let depth_seen = ref 0 in
   let separated_at = ref None in
   let exhausted = ref None in
-  (* All successors of one frontier entry, in deterministic order: per
-     transmitting subset the base successor, then (with crash budget
-     left) one crash variant per awake node, ascending.  [geti] is the
-     interner — the global table on the sequential path, a task-local
-     view on workers.  Crash variants share the base slot array: they
-     differ only in the mask, and slots are never mutated after
-     generation. *)
-  let expand_entry geti round (cur : State.t) spent =
-    let acc = ref [] in
-    List.iter
-      (fun transmitting ->
-        let tx =
-          Array.init n (fun v ->
-              if cur.(v) > 0 && List.mem cur.(v) transmitting then
-                Some cur.(v)
-              else None)
-        in
-        let slots = Array.make n 0 in
-        let dead = ref 0 in
-        for v = 0 to n - 1 do
-          let k = cur.(v) in
-          if k > 0 then begin
-            let event =
-              match tx.(v) with
-              | Some _ -> Uev_silence (* transmitters hear nothing *)
-              | None -> (
-                  match senders_of g tx v with
-                  | [] -> Uev_silence
-                  | [ m ] -> Uev_msg m
-                  | _ -> Uev_noise)
-            in
-            slots.(v) <- geti (k, event)
-          end
-          else if k < 0 then begin
-            slots.(v) <- -k;
-            (* crashed: frozen *)
-            (* radiolint: allow range-overflow -- v < n and explore
-               rejects n > 62 up front, so the bit fits *)
-            dead := !dead lor (1 lsl v)
-          end
-          else
-            match senders_of g tx v with
-            | [ m ] -> slots.(v) <- geti (0, Uev_msg m)
-            | _ ->
-                if C.tag config v = round then
-                  slots.(v) <- geti (0, Uev_silence)
-        done;
-        acc := { uslots = slots; udead = !dead; uspent = spent } :: !acc;
-        (* Crash adversary: after the round's exchanges, any single awake
-           node may die (key frozen, negated).  Crashing automorphic
-           twins yields automorphic sibling states — the case the
-           symmetry quotient collapses. *)
-        if spent < faults then
-          for v = 0 to n - 1 do
-            (* radiolint: allow range-overflow -- v < n <= 62 (guarded at
-               the top of explore), so the crash-mask bit fits *)
-            if slots.(v) <> 0 && !dead land (1 lsl v) = 0 then
-              acc :=
-                {
-                  uslots = slots;
-                  (* radiolint: allow range-overflow -- same v < n <= 62
-                     bound as the test above *)
-                  udead = !dead lor (1 lsl v);
-                  uspent = spent + 1;
-                }
-                :: !acc
-          done)
-      (subsets (distinct_awake_keys cur));
-    Array.of_list (List.rev !acc)
+  (* Scratch, reused for every state: the entry being expanded, the
+     successor being built, its canonical form, each node's transmission
+     (its key, 0 = silent), the sorted distinct awake keys and, per awake
+     node, its key's bit in the transmitting-subset mask. *)
+  let cur = Array.make n 0 in
+  let succ = Array.make n 0 in
+  let canon = Array.make n 0 in
+  let tx = Array.make n 0 in
+  let awake_keys = Array.make n 0 in
+  let bit = Array.make n 0 in
+  (* The frontier is a run of visited-set offsets: entries are unpacked
+     into [cur] only when expanded.  [next] collects the level after. *)
+  let frontier = ref (Array.make 1024 0) in
+  let next = ref (Array.make 1024 0) in
+  let next_len = ref 0 in
+  let push off =
+    if !next_len = Array.length !next then begin
+      (* radiolint: allow range-overflow -- frontier doubling, bounded by
+         the visited set's entry count *)
+      let a = Array.make (2 * !next_len) 0 in
+      Array.blit !next 0 a 0 !next_len;
+      next := a
+    end;
+    !next.(!next_len) <- off;
+    incr next_len
   in
-  let next = ref [] in
   (* Frontier entries carry the crash budget already spent: two states
      that agree node-wise but differ in remaining faults have different
      futures.  One canonicalization and one visited-set probe per
-     successor: [Visited.add] packs, probes and inserts in a single pass
-     (the old path canonicalized, built an encoding string, then probed
-     twice — mem, then replace). *)
+     successor. *)
   let visit ~round ~spent s =
     if Visited.size visited >= states then
       (* Enforced per insertion, not per BFS level: one wide level could
          otherwise overshoot the budget by orders of magnitude. *)
       exhausted := Some `States
     else begin
-      let canon = State.canonicalize autos s in
+      State.canonicalize group s ~into:canon;
       incr canonicalizations;
-      if Visited.add visited ~round_class:(round_class round) ~spent canon
-      then next := (canon, spent) :: !next
+      let off =
+        Visited.add visited ~round_class:(round_class round) ~spent canon
+      in
+      if off >= 0 then push off
     end
   in
-  (* Commit one entry's generated successors on the orchestrating domain:
-     resolve slot ids, apply the sign mask, then run the exact sequential
-     bookkeeping — raw count, separation check at the current round,
-     visited insertion at the next. *)
-  let commit_entry resolve round succs =
-    if Visited.size visited >= states then exhausted := Some `States
-    else
-      Array.iter
-        (fun { uslots; udead; uspent } ->
-          let s = Array.make n 0 in
-          for v = 0 to n - 1 do
-            let id = resolve uslots.(v) in
-            (* radiolint: allow range-overflow -- v < n <= 62, the
-               explore-entry crash-mask bound *)
-            s.(v) <- (if udead land (1 lsl v) <> 0 then -id else id)
+  (* One successor of round [round], built in [succ]: raw count,
+     separation check at this round, visited insertion at the next. *)
+  let commit round spent =
+    incr raw;
+    if Option.is_none !separated_at && separated succ then
+      separated_at := Some round;
+    visit ~round:(round + 1) ~spent succ
+  in
+  (* What node [v] hears given [tx]: the event code of its reception. *)
+  let heard v =
+    let a = nbrs.(v) in
+    let senders = ref 0 in
+    let msg = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      let m = tx.(a.(i)) in
+      if m <> 0 then begin
+        incr senders;
+        msg := m
+      end
+    done;
+    match !senders with 0 -> 0 | 1 -> !msg + 2 | _ -> 1
+  in
+  (* All successors of [cur], in deterministic order: per transmitting
+     subset the base successor, then (with crash budget left) one crash
+     variant per awake node, ascending.  Subsets are bitmasks over the
+     sorted distinct awake keys, counted up from the empty set with the
+     last key as the low bit.  An entry reached past the state cap is
+     still expanded — its keys are interned — but commits nothing. *)
+  let expand round spent ~live =
+    let d = ref 0 in
+    for v = 0 to n - 1 do
+      let k = cur.(v) in
+      if k > 0 then begin
+        let j = ref 0 in
+        while !j < !d && awake_keys.(!j) < k do
+          incr j
+        done;
+        if !j = !d || awake_keys.(!j) <> k then begin
+          for i = !d downto !j + 1 do
+            awake_keys.(i) <- awake_keys.(i - 1)
           done;
-          incr raw;
-          if separated s && Option.is_none !separated_at then
-            separated_at := Some round;
-          visit ~round:(round + 1) ~spent:uspent s)
-        succs
-  in
-  let seq_wave round entries =
-    Array.iter
-      (fun (cur, spent) ->
-        commit_entry
-          (fun id -> id)
-          round
-          (expand_entry (Interner.get intern) round cur spent))
-      entries
-  in
-  (* Parallel generation: one contiguous chunk per worker, one interner
-     view per chunk.  Keys are [(parent, event)] pairs over the frontier's
-     final ids, so no provisional id is ever embedded in a key and the
-     commit remap is the identity — only successor slots need resolving.
-     Chunk logs replay in submission order, so ids (and everything
-     downstream of them) are bit-identical to the sequential path. *)
-  let par_wave p round entries =
-    let chunks =
-      Pool.map_chunked p
-        ~f:(fun part ->
-          let view = Interner.local intern in
-          let geti k = Interner.get_local view k in
-          ( view,
-            Array.map (fun (cur, spent) -> expand_entry geti round cur spent)
-              part ))
-        entries
-    in
-    Array.iter
-      (fun (view, per_entry) ->
-        let resolve = Interner.commit intern ~remap:(fun _ k -> k) view in
-        Array.iter (fun succs -> commit_entry resolve round succs) per_entry)
-      chunks
+          awake_keys.(!j) <- k;
+          incr d
+        end
+      end
+    done;
+    for v = 0 to n - 1 do
+      let k = cur.(v) in
+      if k > 0 then begin
+        let j = ref 0 in
+        while awake_keys.(!j) <> k do
+          incr j
+        done;
+        (* radiolint: allow range-overflow -- d <= n <= 62 (guarded at
+           the top of explore), so the bit fits *)
+        bit.(v) <- 1 lsl (!d - 1 - !j)
+      end
+    done;
+    (* radiolint: allow range-overflow -- d <= n <= 62 *)
+    for mask = 0 to (1 lsl !d) - 1 do
+      for v = 0 to n - 1 do
+        tx.(v) <- (if cur.(v) > 0 && mask land bit.(v) <> 0 then cur.(v) else 0)
+      done;
+      for v = 0 to n - 1 do
+        let k = cur.(v) in
+        if k > 0 then
+          (* transmitters hear nothing *)
+          succ.(v) <- Keys.get keys k (if tx.(v) <> 0 then 0 else heard v)
+        else if k < 0 then succ.(v) <- k (* crashed: frozen *)
+        else
+          let code = heard v in
+          succ.(v) <-
+            (if code >= 2 then Keys.get keys 0 code
+             else if tags.(v) = round then Keys.get keys 0 0
+             else 0)
+      done;
+      if live then begin
+        commit round spent;
+        (* Crash adversary: after the round's exchanges, any single awake
+           node may die (key frozen, negated).  Crashing automorphic
+           twins yields automorphic sibling states — the case the
+           symmetry quotient collapses. *)
+        if spent < faults then
+          for v = 0 to n - 1 do
+            let k = succ.(v) in
+            if k > 0 then begin
+              succ.(v) <- -k;
+              commit round (spent + 1);
+              succ.(v) <- k
+            end
+          done
+      end
+    done
   in
   let report round flen =
     match progress with
@@ -511,14 +553,16 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
         f ~round ~frontier:flen ~explored:(Visited.size visited)
           ~bytes:(Visited.memory_bytes visited)
   in
-  let rec level round frontier =
-    let flen = Array.length frontier in
+  let rec level round flen =
     if flen = 0 then ()
     else if round >= depth then exhausted := Some `Depth
     else begin
       depth_seen := round;
       if flen > !peak then peak := flen;
-      next := [];
+      let entries = !next in
+      next := !frontier;
+      frontier := entries;
+      next_len := 0;
       let pos = ref 0 in
       while !pos < flen do
         if Visited.size visited >= states then begin
@@ -529,26 +573,22 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
           pos := flen
         end
         else begin
-          let wlen = Int.min wave_entries (flen - !pos) in
-          let entries = Array.sub frontier !pos wlen in
-          (match pool with
-          | Some p when Pool.jobs p > 1 && wlen >= Pool.min_parallel_batch ->
-              par_wave p round entries
-          | _ -> seq_wave round entries);
-          pos := !pos + wlen;
+          let stop = Int.min (!pos + wave_entries) flen in
+          for i = !pos to stop - 1 do
+            let spent = Visited.read visited entries.(i) ~into:cur in
+            let live = Visited.size visited < states in
+            if not live then exhausted := Some `States;
+            expand round spent ~live
+          done;
+          pos := stop;
           report round flen
         end
       done;
-      let nf = Array.of_list (List.rev !next) in
-      next := [];
-      level (round + 1) nf
+      level (round + 1) !next_len
     end
   in
-  next := [];
   visit ~round:0 ~spent:0 (State.initial n);
-  let f0 = Array.of_list (List.rev !next) in
-  next := [];
-  level 0 f0;
+  level 0 !next_len;
   {
     config;
     separated_at = !separated_at;
@@ -559,7 +599,7 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
         states_raw = !raw;
         peak_frontier = !peak;
         depth_reached = !depth_seen;
-        distinct_keys = Interner.size intern;
+        distinct_keys = Keys.size keys;
         automorphisms = (match autos with [] -> 1 | l -> List.length l);
         canonicalizations = !canonicalizations;
         visited_bytes = Visited.memory_bytes visited;

@@ -17,7 +17,7 @@
     every subset of awake history classes transmitting (the model of
     {!Election.Optimal}), over-approximating all deterministic anonymous
     protocols at once, with messages carrying the sender's class key.
-    Frontier BFS with a hash-consed visited set, quotiented by the
+    Sequential frontier BFS with a hash-consed visited set, quotiented by the
     tag-preserving automorphism group ({!Election.Symmetry.automorphisms})
     when [reduction] is on.  States are merged across rounds only beyond
     the last wake-up tag, where the transition relation becomes
@@ -143,13 +143,17 @@ val explore :
 
     States live bit-packed ({!State.Packed}) in an open-addressing
     {!Visited} set — the GC never traces them — so the default cap is
-    millions, not the old [200_000].  Passing [pool] parallelizes frontier
-    expansion: each level is cut into constant-size waves, a wave is
-    generated across the pool's workers (one {!Radio_exec.Intern} view per
-    chunk) and committed in submission order, so [separated_at],
-    [exhausted] and every [stats] field are bit-identical at every job
-    count — including [jobs = 1] and no pool at all.  [progress] is
-    called on the orchestrating domain after each committed wave.
+    millions, not the old [200_000].  The frontier is a run of visited-set
+    offsets, and each entry is expanded, canonicalized and packed in
+    scratch arrays, so exploring allocates nothing per state.  Each level
+    is walked in slices of 2048 entries; the state cap is checked before
+    each slice, before each entry's successors are committed and before
+    each insertion, and [progress] is called after each slice.
+
+    [pool] is accepted for compatibility and ignored: exploration is
+    sequential, and [separated_at], [exhausted] and every [stats] field
+    are the same with or without one (docs/MODELCHECK.md says why the
+    parallel path was removed).
 
     With [faults = 0] the quotient is provably the identity: nodes with
     equal histories act in lockstep, so every reachable state is invariant

@@ -127,15 +127,37 @@ let permute (phi : int array) (s : t) : t =
   done;
   out
 
-let canonicalize autos (s : t) : t =
-  match autos with
-  | [] | [ _ ] -> s (* at most the identity: nothing to quotient *)
-  | autos ->
-      List.fold_left
-        (fun best phi ->
-          let cand = permute phi s in
-          if compare_states cand best < 0 then cand else best)
-        s autos
+(* A quotient group in the form [canonicalize] reads: the inverse of each
+   automorphism, so candidate [permute phi s] can be compared position by
+   position ([permute phi s].(u) = s.(phi^-1 u)) without building it. *)
+type group = int array array
+
+let group autos : group =
+  Array.of_list
+    (List.map
+       (fun phi ->
+         let inv = Array.make (Array.length phi) 0 in
+         Array.iteri (fun v w -> inv.(w) <- v) phi;
+         inv)
+       autos)
+
+let canonicalize (group : group) (s : t) ~(into : t) =
+  let n = Array.length s in
+  Array.blit s 0 into 0 n;
+  for i = 0 to Array.length group - 1 do
+    let inv = group.(i) in
+    (* First position where the candidate differs from the best so far;
+       if it is smaller there, the candidate's tail replaces the best's
+       (their prefixes agree). *)
+    let u = ref 0 in
+    while !u < n && s.(inv.(!u)) = into.(!u) do
+      incr u
+    done;
+    if !u < n && s.(inv.(!u)) < into.(!u) then
+      for w = !u to n - 1 do
+        into.(w) <- s.(inv.(w))
+      done
+  done
 
 (* Bit-packed state codes.  The explorer's visited set stores millions of
    states, so the per-state key must be compact and allocation-free on the
@@ -202,17 +224,37 @@ module Packed = struct
     let len = write buf ~pos:0 ~round_class ~spent s in
     Bytes.sub buf 0 len
 
-  let unpack ~n code =
-    let round_class, pos = read_varint code 0 in
-    let spent, pos = read_varint code pos in
-    let s = Array.make n 0 in
+  (* Decode in one loop over the code's fields (round class, spent, then
+     the slots), so no varint returns a [(value, pos)] pair: the
+     explorer unpacks every frontier entry without allocating. *)
+  let read_into buf ~pos (into : t) =
+    let n = Array.length into in
     let pos = ref pos in
-    for v = 0 to n - 1 do
-      let u, pos' = read_varint code !pos in
-      s.(v) <- unzigzag u;
-      pos := pos'
+    let spent = ref 0 in
+    for field = 0 to n + 1 do
+      let u = ref 0 in
+      let shift = ref 0 in
+      let continue = ref true in
+      while !continue do
+        (* radiolint: allow range-index -- the same varint walk as
+           read_varint, over a code written by write *)
+        let b = Char.code (Bytes.unsafe_get buf !pos) in
+        incr pos;
+        (* radiolint: allow range-overflow -- shift stays below 70 for the
+           at-most-10-byte varints write emits *)
+        u := !u lor ((b land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        continue := b land 0x80 <> 0
+      done;
+      if field = 1 then spent := !u
+      else if field >= 2 then into.(field - 2) <- unzigzag !u
     done;
-    (round_class, spent, s)
+    !spent
+
+  let unpack ~n code =
+    let s = Array.make n 0 in
+    let spent = read_into code ~pos:0 s in
+    (fst (read_varint code 0), spent, s)
 end
 
 let classes (s : t) =

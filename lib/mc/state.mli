@@ -91,10 +91,17 @@ val encode : round_class:int -> t -> string
 val permute : int array -> t -> t
 (** [permute phi s]: the state in which node [phi.(v)] carries [s.(v)]. *)
 
-val canonicalize : int array list -> t -> t
-(** Lexicographically smallest node-permuted variant over a set of
-    tag-preserving automorphisms ({!Symmetry.automorphisms}).  Keys need no
-    renaming because they are content-pure. *)
+type group
+(** A set of tag-preserving automorphisms ({!Symmetry.automorphisms})
+    prepared for {!canonicalize}. *)
+
+val group : int array list -> group
+
+val canonicalize : group -> t -> into:t -> unit
+(** [canonicalize g s ~into] writes into [into] the lexicographically
+    smallest of [s] and its variants [permute phi s] over [g]; it
+    allocates nothing.  [into] must have [s]'s length and must not be [s].
+    Keys need no renaming because they are content-pure. *)
 
 (** Bit-packed state codes: the compact key format of the explorer's
     visited set ({!Visited}).  A code is a run of LEB128 varints — round
@@ -118,6 +125,10 @@ module Packed : sig
   val unpack : n:int -> Bytes.t -> int * int * t
   (** [(round_class, spent, state)] back out of a code produced for an
       [n]-slot state: the roundtrip inverse of {!pack}. *)
+
+  val read_into : Bytes.t -> pos:int -> t -> int
+  (** [read_into buf ~pos s] decodes the code at [pos] (an [s]-slot state)
+      into [s] and returns its crash budget spent, allocating nothing. *)
 
   val zigzag : int -> int
   val unzigzag : int -> int

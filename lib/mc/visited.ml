@@ -17,8 +17,10 @@
 
    [add] packs the candidate straight into the arena tail, probes once,
    and either publishes the entry (fresh: record the offset, keep the
-   bytes) or rolls the arena back (duplicate: no allocation happened at
-   all).  Growth doubles in place: the table rebuilds by walking the
+   bytes, hand the offset back) or rolls the arena back (duplicate: no
+   allocation happened at all).  Offsets stay valid across growth, so the
+   explorer's frontier is a plain int array of them ([read] unpacks one).
+   Growth doubles in place: the table rebuilds by walking the
    arena sequentially — entries are distinct by construction, so each
    re-probe stops at the first empty slot — and the arena reallocates
    and blits.  Both structures are unboxed, so the GC never traces the
@@ -148,8 +150,9 @@ let add t ~round_class ~spent s =
         end
         else i := (!i + 1) land t.mask
   done;
-  if not !fresh then false (* duplicate: arena rolls back *)
+  if not !fresh then -1 (* duplicate: arena rolls back *)
   else begin
+    let off = t.len in
     (* radiolint: allow range-index -- ensure_arena reserved
        entry_header + max_code bytes past len *)
     Bytes.unsafe_set t.arena t.len (Char.unsafe_chr (len land 0xff));
@@ -162,8 +165,11 @@ let add t ~round_class ~spent s =
     (* Load factor 1/2: one resident entry per two slots keeps linear
        probing short without doubling memory over the arena itself. *)
     if 2 * t.count >= t.mask + 1 then grow_table t;
-    true
+    off
   end
+
+let read t off ~into =
+  State.Packed.read_into t.arena ~pos:(off + entry_header) into
 
 let mem t ~round_class ~spent s =
   (* Probe without publishing: pack into the scratch space past [len]

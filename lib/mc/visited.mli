@@ -17,9 +17,15 @@ val create : ?bits:int -> slots:int -> unit -> t
 (** [create ~slots ()] is an empty set for states of [slots] nodes;
     [bits] sizes the initial table at [2^bits] slots (default 12). *)
 
-val add : t -> round_class:int -> spent:int -> State.t -> bool
+val add : t -> round_class:int -> spent:int -> State.t -> int
 (** [add t ~round_class ~spent s] inserts the packed code of [s] and
-    returns [true], or returns [false] if it was already present. *)
+    returns the new entry's offset ([>= 0]), or returns [-1] if it was
+    already present.  Offsets stay valid as the set grows. *)
+
+val read : t -> int -> into:State.t -> int
+(** [read t off ~into] unpacks the entry at offset [off] (as returned by
+    {!add}) into [into] and returns its crash budget spent; it allocates
+    nothing. *)
 
 val mem : t -> round_class:int -> spent:int -> State.t -> bool
 (** Membership without insertion. *)

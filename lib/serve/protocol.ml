@@ -56,8 +56,6 @@ let get_config obj =
           match CIo.of_string s with
           | c -> c
           | exception Failure msg -> reject ("invalid config: " ^ msg)
-          | exception C.Invalid_configuration msg ->
-              reject ("invalid config: " ^ msg)
         in
         if C.size config = 0 then reject "invalid config: empty configuration";
         if C.size config > max_config_nodes then

@@ -174,6 +174,39 @@ let test_bad_input () =
   let code, _ = anorad "classify /nonexistent/path.cfg" in
   check "nonzero on missing file" true (code <> 0)
 
+let test_invalid_config () =
+  (* Self-loops, duplicate edges and out-of-range endpoints are usage
+     errors (exit 2 with a diagnostic), like a missing file — not
+     uncaught exceptions. *)
+  List.iter
+    (fun (what, edges) ->
+      let path = Filename.temp_file "anorad_cli" ".cfg" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc ("config 3\ntags 0 1 2\n" ^ edges));
+          List.iter
+            (fun cmd ->
+              let code, out =
+                run_cmd
+                  (Printf.sprintf "{ %s %s %s 2>&1; }" (Filename.quote binary)
+                     cmd (Filename.quote path))
+              in
+              check_int (Printf.sprintf "%s: %s exit 2" what cmd) 2 code;
+              check
+                (Printf.sprintf "%s: %s diagnostic" what cmd)
+                true
+                (contains out "invalid config"))
+            [ "classify"; "mc --explore" ]))
+    [
+      ("self-loop", "0 0\n1 2\n");
+      ("duplicate edge", "0 1\n1 0\n");
+      ("out-of-range vertex", "0 1\n1 5\n");
+    ];
+  let code, _ = anorad "classify /nonexistent/path.cfg" in
+  check_int "missing file exit 2" 2 code
+
 let with_plan content f =
   let path = Filename.temp_file "anorad_cli" ".plan" in
   Fun.protect
@@ -748,6 +781,7 @@ let () =
           Alcotest.test_case "explain --dot" `Quick test_explain_dot_cli;
           Alcotest.test_case "trace" `Quick test_trace_cli;
           Alcotest.test_case "bad input" `Quick test_bad_input;
+          Alcotest.test_case "invalid config" `Quick test_invalid_config;
           Alcotest.test_case "faults" `Quick test_faults_cli;
           Alcotest.test_case "faults --supervise" `Quick
             test_faults_supervise_cli;

@@ -934,17 +934,17 @@ let effect_escape_tests =
             ]
         in
         Alcotest.(check int) "no findings" 0 (List.length findings));
-    Alcotest.test_case "map_chunked is a submit site" `Quick (fun () ->
-        (* The explorer's parallel frontier expands waves through
-           [Pool.map_chunked]; a wave closure leaking into module state
+    Alcotest.test_case "map_array is a submit site" `Quick (fun () ->
+        (* Optimal's parallel frontier expands chunks through
+           [Pool.map_array]; a chunk closure leaking into module state
            must be caught like any other task. *)
         let findings =
           effect_escapes
             [
-              ( "lib/mc/foo.ml",
+              ( "lib/core/foo.ml",
                 "let tally = Hashtbl.create 16\n\
                  let go pool waves =\n\
-                \  Radio_exec.Pool.map_chunked pool\n\
+                \  Radio_exec.Pool.map_array pool ~chunk:1\n\
                 \    ~f:(fun part -> Hashtbl.replace tally part part; part)\n\
                 \    waves\n" );
             ]
@@ -959,7 +959,7 @@ let effect_escape_tests =
             Alcotest.(check int) "submit line" 3 f.Effects.submit_line);
     Alcotest.test_case "frontier wave over intern views stays clean" `Quick
       (fun () ->
-        (* The shape checker.ml actually submits: each chunk builds a
+        (* The shape optimal.ml actually submits: each chunk builds a
            local Intern view, interns successor keys into it and hands the
            view back for the caller's in-order commit — LocalMut only. *)
         let findings =
@@ -970,10 +970,10 @@ let effect_escape_tests =
                  let local t = Hashtbl.copy t\n\
                  let get_local v k = Hashtbl.replace v k k; k\n\
                  let commit t v = Hashtbl.length v\n" );
-              ( "lib/mc/wave.ml",
+              ( "lib/core/wave.ml",
                 "let expand geti x = Array.init 4 (fun i -> geti (x + i))\n\
                  let go pool intern waves =\n\
-                \  Radio_exec.Pool.map_chunked pool\n\
+                \  Radio_exec.Pool.map_array pool ~chunk:1\n\
                 \    ~f:(fun part ->\n\
                 \      let view = Intern.local intern in\n\
                 \      (view, Array.map (expand (Intern.get_local view)) \

@@ -21,6 +21,11 @@ let check_int = Alcotest.(check int)
 
 let uniform_cycle n = C.uniform (Radio_graph.Gen.cycle n) 0
 
+let canonicalize autos s =
+  let into = Array.make (Array.length s) 0 in
+  State.canonicalize (State.group autos) s ~into;
+  into
+
 (* --- State encoding ------------------------------------------------- *)
 
 let state_tests =
@@ -56,7 +61,7 @@ let state_tests =
         let autos = Sym.automorphisms config in
         check_int "C4 has the dihedral group" 8 (List.length autos);
         let s = [| 3; 1; 1; 1 |] in
-        let canon = State.canonicalize autos s in
+        let canon = canonicalize autos s in
         check "canonical is minimal" true
           (State.equal canon [| 1; 1; 1; 3 |]);
         (* every permuted variant canonicalizes identically *)
@@ -64,7 +69,7 @@ let state_tests =
           (fun phi ->
             check "orbit collapses" true
               (State.equal canon
-                 (State.canonicalize autos (State.permute phi s))))
+                 (canonicalize autos (State.permute phi s))))
           autos);
     Alcotest.test_case "encode separates round classes" `Quick (fun () ->
         let s = [| 1; 0 |] in
@@ -295,7 +300,7 @@ let packed_tests =
             let legacy = Hashtbl.create 64 in
             for i = 0 to 99 do
               let round_class = i mod 3 and spent = i mod 2 in
-              let canon = State.canonicalize autos (synth_state ~n i) in
+              let canon = canonicalize autos (synth_state ~n i) in
               let key =
                 Printf.sprintf "%d|%d|%s" round_class spent
                   (State.encode ~round_class canon)
@@ -303,7 +308,7 @@ let packed_tests =
               check "mem agrees before insert"
                 (Hashtbl.mem legacy key)
                 (Visited.mem visited ~round_class ~spent canon);
-              let fresh = Visited.add visited ~round_class ~spent canon in
+              let fresh = Visited.add visited ~round_class ~spent canon >= 0 in
               check "add reports freshness" (not (Hashtbl.mem legacy key))
                 fresh;
               Hashtbl.replace legacy key ();
@@ -322,7 +327,8 @@ let packed_tests =
         for i = 0 to 9_999 do
           let s = [| i - 5_000; (i * 17) - 80_000; i mod 7 |] in
           let round_class = i mod 5 and spent = i mod 3 in
-          check "all fresh" true (Visited.add visited ~round_class ~spent s);
+          check "all fresh" true
+            (Visited.add visited ~round_class ~spent s >= 0);
           Hashtbl.replace reference
             (Printf.sprintf "%d|%d|%s" round_class spent
                (State.encode ~round_class s))
@@ -364,14 +370,14 @@ let visited_edge_tests =
             let before = Visited.memory_bytes visited in
             let s = state (i / 2) in
             check "duplicate rejected" false
-              (Visited.add visited ~round_class:0 ~spent:0 s);
+              (Visited.add visited ~round_class:0 ~spent:0 s >= 0);
             if Visited.memory_bytes visited > before then
               incr dup_growths;
             check "duplicate still member" true
               (Visited.mem visited ~round_class:0 ~spent:0 s)
           end;
           check "fresh state accepted" true
-            (Visited.add visited ~round_class:0 ~spent:0 (state i));
+            (Visited.add visited ~round_class:0 ~spent:0 (state i) >= 0);
           check_int "count tracks inserts" (i + 1) (Visited.size visited)
         done;
         check "a duplicate probe grew the arena" true (!dup_growths > 0);
@@ -408,7 +414,7 @@ let visited_edge_tests =
         List.iter
           (fun k ->
             check "fresh across the boundary" true
-              (Visited.add visited ~round_class:0 ~spent:0 [| k |]))
+              (Visited.add visited ~round_class:0 ~spent:0 [| k |] >= 0))
           [ -64; 64; -65; 63; -8_192; 8_192 ];
         check_int "all six held" 6 (Visited.size visited));
     Alcotest.test_case "create rejects widths the entry header cannot \
@@ -494,10 +500,9 @@ let explore_tests =
     Alcotest.test_case "parallel explore is bit-identical at any job count"
       `Quick
       (fun () ->
-        (* The determinism contract: constant-size waves, per-chunk intern
-           views committed in submission order — every stats field, the
-           separation round and the budget verdict must coincide between
-           the sequential path and every pool size. *)
+        (* Exploration is sequential: a pool is accepted and ignored, so
+           every stats field, the separation round and the budget verdict
+           must coincide with and without one, at every pool size. *)
         let config = F.h_family 2 in
         let base = Checker.explore ~depth:6 ~faults:1 config in
         check "reference run separates" true
@@ -516,9 +521,9 @@ let explore_tests =
           [ 1; 2; 4 ]);
     Alcotest.test_case "cap trip is bit-identical at any job count" `Quick
       (fun () ->
-        (* The cap can trip mid-wave; wave boundaries are jobs-independent,
-           so where it trips (and every counter at that point) must not
-           depend on the pool. *)
+        (* The cap can trip mid-wave; where it trips (and every counter
+           at that point) must not depend on the pool, which no longer
+           changes the code path. *)
         let config = F.h_family 2 in
         let base = Checker.explore ~depth:8 ~faults:1 ~states:5_000 config in
         check "cap tripped" true
@@ -551,6 +556,119 @@ let explore_tests =
           (e.Checker.stats.Checker.visited_bytes > 0));
   ]
 
+(* Explorations recorded before the explorer became one allocation-free
+   sequential kernel: every stats field, the separation round and the
+   budget verdict are pinned, so a change to interning order, successor
+   order, canonicalization or the cap checks shows up here. *)
+let golden_explorations =
+  let ring6 = C.create (Radio_graph.Gen.cycle 6) [| 0; 1; 0; 1; 1; 1 |] in
+  let stats states_explored states_raw peak_frontier depth_reached
+      distinct_keys automorphisms canonicalizations visited_bytes =
+    {
+      Checker.states_explored;
+      states_raw;
+      peak_frontier;
+      depth_reached;
+      distinct_keys;
+      automorphisms;
+      canonicalizations;
+      visited_bytes;
+    }
+  in
+  let ring ~faults ~reduction =
+    ( Printf.sprintf "ring6_broken d5 f%d reduction %b" faults reduction,
+      fun () -> Checker.explore ~depth:5 ~faults ~reduction ring6 )
+  in
+  [
+    ( ( "H_2 d7 f1",
+        fun () -> Checker.explore ~depth:7 ~faults:1 (F.h_family 2) ),
+      stats 73058 93846 6987 6 3162 1 93847 3145728,
+      Some 1,
+      Some `Depth );
+    ( ( "H_3 d6 f1",
+        fun () -> Checker.explore ~depth:6 ~faults:1 (F.h_family 3) ),
+      stats 5364 7854 881 5 475 1 7855 196608,
+      Some 1,
+      Some `Depth );
+    ( ring ~faults:0 ~reduction:true,
+      stats 1142 1239 86 4 322 2 1240 49152,
+      Some 2,
+      Some `Depth );
+    ( ring ~faults:0 ~reduction:false,
+      stats 1142 1239 86 4 322 1 1240 49152,
+      Some 2,
+      Some `Depth );
+    ( ring ~faults:1 ~reduction:true,
+      stats 20559 24715 1176 4 604 2 24716 1048576,
+      Some 1,
+      Some `Depth );
+    ( ring ~faults:1 ~reduction:false,
+      stats 34584 37185 1846 4 604 1 37186 1572864,
+      Some 1,
+      Some `Depth );
+    ( ring ~faults:2 ~reduction:true,
+      stats 127519 157431 5864 4 610 2 157432 4194304,
+      Some 1,
+      Some `Depth );
+    ( ring ~faults:2 ~reduction:false,
+      stats 244408 283425 10914 4 610 1 283426 8388608,
+      Some 1,
+      Some `Depth );
+    ( ( "uniform cycle 4 d6 f0",
+        fun () -> Checker.explore ~depth:6 ~faults:0 (uniform_cycle 4) ),
+      stats 7 11 1 5 6 8 12 36864,
+      None,
+      Some `Depth );
+    ( ( "uniform cycle 4 d6 f1",
+        fun () -> Checker.explore ~depth:6 ~faults:1 (uniform_cycle 4) ),
+      stats 28 85 6 5 6 8 86 36864,
+      None,
+      Some `Depth );
+    ( ( "H_2 d8 f1 state cap 5000",
+        fun () ->
+          Checker.explore ~depth:8 ~faults:1 ~states:5_000 (F.h_family 2) ),
+      stats 5000 6690 3634 6 555 1 6688 196608,
+      Some 1,
+      Some `States );
+  ]
+
+let golden_tests =
+  [
+    Alcotest.test_case "explorations match the recorded stats" `Quick
+      (fun () ->
+        List.iter
+          (fun ((name, run), stats, separated_at, exhausted) ->
+            let e = run () in
+            let expected = { e with Checker.separated_at; exhausted; stats } in
+            if not (exploration_equal expected e) then
+              Alcotest.failf
+                "%s: explored %d raw %d peak %d depth %d keys %d autos %d \
+                 canonicalizations %d bytes %d"
+                name e.Checker.stats.Checker.states_explored
+                e.Checker.stats.Checker.states_raw
+                e.Checker.stats.Checker.peak_frontier
+                e.Checker.stats.Checker.depth_reached
+                e.Checker.stats.Checker.distinct_keys
+                e.Checker.stats.Checker.automorphisms
+                e.Checker.stats.Checker.canonicalizations
+                e.Checker.stats.Checker.visited_bytes)
+          golden_explorations);
+    Alcotest.test_case "explore allocates at most 16 words per successor"
+      `Quick
+      (fun () ->
+        (* The kernel expands, canonicalizes and packs in scratch arrays;
+           what it allocates is set-up plus amortized table growth. *)
+        let config = F.h_family 2 in
+        let before = Gc.minor_words () in
+        let e = Checker.explore ~depth:7 ~faults:1 config in
+        let words = Gc.minor_words () -. before in
+        let per_successor =
+          words /. float_of_int e.Checker.stats.Checker.states_raw
+        in
+        if per_successor > 16.0 then
+          Alcotest.failf "%.1f minor words per raw successor" per_successor);
+  ]
+
 (* --- Differential oracle --------------------------------------------- *)
 
 let oracle_tests =
@@ -579,5 +697,6 @@ let () =
       ("packed", packed_tests);
       ("visited-edges", visited_edge_tests);
       ("explore", explore_tests);
+      ("golden", golden_tests);
       ("oracle", oracle_tests);
     ]

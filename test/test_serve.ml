@@ -359,6 +359,41 @@ let test_stats_prefix_exact () =
       check "errors counted" true (J.member "errors" first = Some (J.Int 1))
   | _ -> Alcotest.fail "expected two stats responses"
 
+let test_edge_faults_answered () =
+  (* A self-loop, a duplicate edge and an out-of-range endpoint are
+     malformed configs like any other: each gets its own error response
+     and the daemon stays up to answer the stats line after them. *)
+  let bad edges = Printf.sprintf "config 3\ntags 0 1 2\n%s" edges in
+  let lines =
+    [
+      Printf.sprintf "{\"id\":1,\"kind\":\"classify\",\"config\":%s}"
+        (quote (bad "0 0\n1 2\n"));
+      Printf.sprintf "{\"id\":2,\"kind\":\"elect\",\"config\":%s}"
+        (quote (bad "0 1\n1 0\n"));
+      Printf.sprintf "{\"id\":3,\"kind\":\"simulate\",\"config\":%s}"
+        (quote (bad "0 1\n1 5\n"));
+      "{\"id\":4,\"kind\":\"stats\"}";
+    ]
+  in
+  let responses = String.split_on_char '\n' (String.trim (serve lines)) in
+  check_int "one response per line" 4 (List.length responses);
+  List.iteri
+    (fun i r ->
+      if i < 3 then
+        check "invalid config error" true
+          (contains r "\"status\":\"error\"" && contains r "invalid config"))
+    responses;
+  match J.parse (List.nth responses 3) with
+  | Ok o -> (
+      match J.member "result" o with
+      | Some result ->
+          check "stats answered after the faults" true
+            (J.member "total" result = Some (J.Int 4));
+          check "faults counted as errors" true
+            (J.member "errors" result = Some (J.Int 3))
+      | None -> Alcotest.fail "stats response without a result")
+  | Error _ -> Alcotest.fail "stats response is not JSON"
+
 let test_eof_mid_line () =
   (* final line missing its newline is still answered; the response stream
      stays well-formed *)
@@ -447,6 +482,8 @@ let () =
             test_iso_equivariant_leader;
           Alcotest.test_case "stats prefix exact" `Quick test_stats_prefix_exact;
           Alcotest.test_case "eof mid-line" `Quick test_eof_mid_line;
+          Alcotest.test_case "edge faults answered" `Quick
+            test_edge_faults_answered;
           Alcotest.test_case "mc-check agrees with classify" `Slow
             test_mc_check_agrees_with_classify;
         ] );

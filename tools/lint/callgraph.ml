@@ -79,10 +79,7 @@ let pool_submit comps =
   match List.rev comps with
   | fn :: "Pool" :: _ ->
       List.mem fn
-        [
-          "run_batch"; "map"; "map_array"; "map_reduce"; "iter_batches";
-          "map_chunked";
-        ]
+        [ "run_batch"; "map"; "map_array"; "map_reduce"; "iter_batches" ]
   | _ -> false
 
 (* Every variable a binding pattern introduces, with its line. *)

@@ -18,7 +18,7 @@
 
    The escape check is what the classes are for: everything reachable from
    a [Pool] task closure (the [~f] argument of [run_batch]/[map]/
-   [map_array]/[map_reduce]/[iter_batches]/[map_chunked] — it runs
+   [map_array]/[map_reduce]/[iter_batches] — it runs
    concurrently on many domains) must stay [<= LocalMut].  A task that transitively reaches
    [SharedMut] or [IO] is reported with the full chain from the submit
    site to the offending primitive.  [Intern] local views

@@ -23,8 +23,8 @@
     The {e escape check} ({!escapes}) enforces the pool's determinism
     contract (docs/PARALLEL.md): everything reachable from a [Pool] task
     closure — the [~f] argument of
-    [run_batch]/[map]/[map_array]/[map_reduce]/[iter_batches]/
-    [map_chunked], which runs on worker domains — must stay
+    [run_batch]/[map]/[map_array]/[map_reduce]/[iter_batches], which
+    runs on worker domains — must stay
     [<= LocalMut].  Barriers, through which
     classes neither originate nor flow: [lib/exec/intern.ml] (local views
     are replayed deterministically at the batch barrier) and functions
