@@ -75,8 +75,10 @@ resilience-smoke:
 
 # Bounded model checking end to end: the differential oracle over every
 # connected configuration with n <= 4 (with concrete engine replay of each
-# extracted trace), a verified family run with a SARIF artifact, and a
-# seeded mutant that must produce exit code 1 with a counterexample.
+# extracted trace), a verified family run with a SARIF artifact, a seeded
+# mutant that must produce exit code 1 with a counterexample, explore's
+# stdout compared across --jobs values, and `anorad optimal` (the explore
+# kernel's breaking-time entry) answering Lemma 4.2's round 3 on H_3.
 mc-smoke:
 	@tmp=$$(mktemp); sarif=$$(mktemp); status=0; \
 	$(DUNE) exec bin/anorad.exe -- mc --oracle 4 --replay && \
@@ -95,9 +97,16 @@ mc-smoke:
 	  $(DUNE) exec bin/anorad.exe -- mc $$tmp \
 	    --explore --faults 1 --depth 6 --jobs 2 > $$par && \
 	  cmp -s $$sarif $$par || { \
-	    echo "mc-smoke: parallel explore differs from sequential"; \
+	    echo "mc-smoke: explore output differs between --jobs 1 and --jobs 2"; \
 	    status=1; }; \
 	  rm -f $$par; \
+	fi; \
+	if [ $$status -eq 0 ]; then \
+	  $(DUNE) exec bin/anorad.exe -- family h 3 > $$tmp && \
+	  $(DUNE) exec bin/anorad.exe -- optimal $$tmp > $$sarif && \
+	  grep -q 'round (over all algorithms): 3$$' $$sarif || { \
+	    echo "mc-smoke: optimal on H_3 does not answer round 3"; \
+	    status=1; }; \
 	fi; \
 	rm -f $$tmp $$sarif; exit $$status
 

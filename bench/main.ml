@@ -772,7 +772,7 @@ let e17 () =
   in
   List.iter
     (fun (name, bound, config) ->
-      let opt = Election.Optimal.breaking_time config in
+      let opt = Radio_mc.Checker.breaking_time config in
       let sep = Election.Optimal.canonical_breaking_time config in
       let total =
         let a = Fe.analyze config in
@@ -1054,7 +1054,6 @@ let e20 ?(quick = false) () =
   let census_n = if quick then 3 else 4 in
   let oracle_n = if quick then 3 else 4 in
   let trials = if quick then 10 else 25 in
-  let horizon = if quick then 8 else 10 in
   (* Each workload renders its full report to a string so the equality
      column below really is the byte-identity contract of docs/PARALLEL.md,
      not a spot check. *)
@@ -1073,15 +1072,6 @@ let e20 ?(quick = false) () =
           Radio_faults.Resilience.to_csv
             (Radio_faults.Resilience.crash_sweep ?pool ~trials ~name:"h3"
                (F.h_family 3)) );
-      ( "optimal",
-        fun pool ->
-          match
-            Election.Optimal.breaking_time ?pool ~horizon (F.h_family 2)
-          with
-          | Election.Optimal.Broken_at r -> Printf.sprintf "broken@%d" r
-          | Election.Optimal.Never -> "never"
-          | Election.Optimal.Not_within_horizon -> "not-within-horizon"
-          | Election.Optimal.Search_budget_exhausted -> "budget-exhausted" );
     ]
   in
   let table =

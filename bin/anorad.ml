@@ -47,15 +47,20 @@ let config_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CONFIG" ~doc)
 
-(* An unreadable or malformed configuration is a usage error (exit 2), not
-   an uncaught exception. *)
+(* An unreadable, malformed or empty configuration is a usage error
+   (exit 2), not an uncaught exception. *)
 let load_config path =
-  try
-    if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
-    else CIo.read_file path
-  with Failure msg | Sys_error msg ->
+  let invalid msg =
     Format.eprintf "anorad: invalid config: %s@." msg;
     exit 2
+  in
+  let config =
+    try
+      if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
+      else CIo.read_file path
+    with Failure msg | Sys_error msg -> invalid msg
+  in
+  if C.size config = 0 then invalid "empty configuration" else config
 
 let impl_arg =
   let doc = "Classifier implementation: 'reference' (literal Algorithms 1-4) or 'fast' (hash-based refinement)." in
@@ -391,12 +396,9 @@ let catalog_cmd =
   Cmd.v (Cmd.info "catalog" ~doc) Term.(const run $ name_arg)
 
 let optimal_cmd =
-  let run path jobs =
+  let run path =
     let config = load_config path in
-    (match
-       with_jobs_pool jobs (fun pool ->
-           Election.Optimal.breaking_time ~pool config)
-     with
+    (match Radio_mc.Checker.breaking_time config with
     | Election.Optimal.Broken_at r ->
         Format.printf
           "optimal symmetry-breaking round (over all algorithms): %d@." r
@@ -415,7 +417,7 @@ let optimal_cmd =
     "exhaustively search for the minimal symmetry-breaking round (small \
      configurations only)"
   in
-  Cmd.v (Cmd.info "optimal" ~doc) Term.(const run $ config_arg $ jobs_arg)
+  Cmd.v (Cmd.info "optimal" ~doc) Term.(const run $ config_arg)
 
 let fragility_cmd =
   let run path =

@@ -1,45 +1,14 @@
-(** Exhaustive search for the optimal symmetry-breaking time on small
-    configurations — a measured companion to the paper's lower bounds and
-    its second open problem.
-
-    The {e symmetry-breaking round} of an execution is the first global
-    round at which some awake node's history differs from the history of
-    every other node (sleeping nodes all share the empty history ⊥).  No
-    leader election algorithm can decide before symmetry breaks, so the
-    minimum over all DRIPs lower-bounds every dedicated algorithm's
-    election time — this is exactly the quantity the proofs of
-    Propositions 4.1/4.3 reason about.
-
-    The search explores all deterministic anonymous protocols restricted to
-    class-indexed messages (each history class either listens or transmits
-    its class index; no protocol can distinguish more than its history
-    classes, and richer alphabets cannot help beyond naming them), by
-    breadth-first search over global states with memoization.  Within that
-    family the result is exact; combined with a matching theoretical lower
-    bound (e.g. Lemma 4.2's [>= m] for [H_m]) it pins the true optimum.
-
-    State count grows quickly, so this is for census-sized instances:
-    [n <= 6] and horizons of a couple dozen rounds. *)
+(** Outcomes of the optimal symmetry-breaking-time search, and the
+    canonical DRIP's separation round to compare them with.  The search
+    itself is [Radio_mc.Checker.breaking_time], which runs the universal
+    model checker's kernel (it lives there because [radio_mc] depends on
+    this library). *)
 
 type outcome =
   | Broken_at of int  (** minimal symmetry-breaking global round *)
   | Never  (** the configuration is infeasible: symmetry never breaks *)
   | Not_within_horizon
   | Search_budget_exhausted
-
-val breaking_time :
-  ?pool:Radio_exec.Pool.t ->
-  ?horizon:int ->
-  ?max_states:int ->
-  Radio_config.Config.t ->
-  outcome
-(** [breaking_time config] explores up to [horizon] (default 24) global
-    rounds and [max_states] (default 200_000) distinct states.
-
-    [pool] expands each BFS frontier in parallel, merging task-local
-    interner views at the round barrier in submission order, so the
-    outcome (and internal id assignment) is bit-identical to the
-    sequential search at every jobs level (docs/PARALLEL.md). *)
 
 val canonical_breaking_time :
   ?max_rounds:int -> Radio_config.Config.t -> int option

@@ -268,11 +268,12 @@ let replay ?max_rounds ~machine res =
   }
 
 (* Universal mode: explore every deterministic protocol at once, branching
-   over the subsets of awake history classes that transmit (Optimal's
-   model); messages carry the sender's class key, the strongest content an
-   anonymous DRIP can convey.  There is no termination action here — the
-   mode answers reachability questions (when can some node's history
-   separate?) and carries the symmetry-reduction machinery. *)
+   over the subsets of awake history classes that transmit; messages carry
+   the sender's class key, the strongest content an anonymous DRIP can
+   convey.  There is no termination action here — the mode answers
+   reachability questions (when can some node's history separate?, which
+   [breaking_time] minimizes) and carries the symmetry-reduction
+   machinery. *)
 type exploration = {
   config : C.t;
   separated_at : int option;
@@ -383,15 +384,18 @@ end
    constant. *)
 let wave_entries = 2_048
 
-let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
-    ?(faults = 0) ?pool:_ ?progress config =
-  let config = normalize config in
+(* Transmitting subsets are bitmasks over a state's distinct awake keys,
+   so a state with more keys than this has more successors than any state
+   cap and is recorded as a cap trip instead of expanded. *)
+let max_mask_keys = 62
+
+(* The universal-mode kernel behind [explore] and [breaking_time], on a
+   normalized [config] quotiented by [autos] (its automorphisms, or [] for
+   no reduction); with [until_separated] it stops after the first level
+   that separates. *)
+let search ~until_separated ~depth ~states ~autos ~faults ?progress config =
   let g = C.graph config in
   let n = C.size config in
-  if n = 0 then invalid_arg "Checker.explore: empty configuration";
-  if n > 62 then
-    invalid_arg "Checker.explore: transmitter masks support n <= 62";
-  let autos = if reduction then Symmetry.automorphisms config else [] in
   let group = State.group autos in
   let tags = C.tags config in
   let max_tag = Array.fold_left Int.max 0 tags in
@@ -479,7 +483,9 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
      variant per awake node, ascending.  Subsets are bitmasks over the
      sorted distinct awake keys, counted up from the empty set with the
      last key as the low bit.  An entry reached past the state cap is
-     still expanded — its keys are interned — but commits nothing. *)
+     still expanded — its keys are interned — but commits nothing; an
+     entry with more than [max_mask_keys] distinct awake keys is a cap trip
+     and is not expanded. *)
   let expand round spent ~live =
     let d = ref 0 in
     for v = 0 to n - 1 do
@@ -498,53 +504,57 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
         end
       end
     done;
-    for v = 0 to n - 1 do
-      let k = cur.(v) in
-      if k > 0 then begin
-        let j = ref 0 in
-        while awake_keys.(!j) <> k do
-          incr j
-        done;
-        (* radiolint: allow range-overflow -- d <= n <= 62 (guarded at
-           the top of explore), so the bit fits *)
-        bit.(v) <- 1 lsl (!d - 1 - !j)
-      end
-    done;
-    (* radiolint: allow range-overflow -- d <= n <= 62 *)
-    for mask = 0 to (1 lsl !d) - 1 do
-      for v = 0 to n - 1 do
-        tx.(v) <- (if cur.(v) > 0 && mask land bit.(v) <> 0 then cur.(v) else 0)
-      done;
+    if !d > max_mask_keys then exhausted := Some `States
+    else begin
       for v = 0 to n - 1 do
         let k = cur.(v) in
-        if k > 0 then
-          (* transmitters hear nothing *)
-          succ.(v) <- Keys.get keys k (if tx.(v) <> 0 then 0 else heard v)
-        else if k < 0 then succ.(v) <- k (* crashed: frozen *)
-        else
-          let code = heard v in
-          succ.(v) <-
-            (if code >= 2 then Keys.get keys 0 code
-             else if tags.(v) = round then Keys.get keys 0 0
-             else 0)
+        if k > 0 then begin
+          let j = ref 0 in
+          while awake_keys.(!j) <> k do
+            incr j
+          done;
+          (* radiolint: allow range-overflow -- d <= max_mask_keys = 62
+             (checked above), so the bit fits *)
+          bit.(v) <- 1 lsl (!d - 1 - !j)
+        end
       done;
-      if live then begin
-        commit round spent;
-        (* Crash adversary: after the round's exchanges, any single awake
-           node may die (key frozen, negated).  Crashing automorphic
-           twins yields automorphic sibling states — the case the
-           symmetry quotient collapses. *)
-        if spent < faults then
-          for v = 0 to n - 1 do
-            let k = succ.(v) in
-            if k > 0 then begin
-              succ.(v) <- -k;
-              commit round (spent + 1);
-              succ.(v) <- k
-            end
-          done
-      end
-    done
+      (* radiolint: allow range-overflow -- d <= max_mask_keys = 62 *)
+      for mask = 0 to (1 lsl !d) - 1 do
+        for v = 0 to n - 1 do
+          tx.(v) <-
+            (if cur.(v) > 0 && mask land bit.(v) <> 0 then cur.(v) else 0)
+        done;
+        for v = 0 to n - 1 do
+          let k = cur.(v) in
+          if k > 0 then
+            (* transmitters hear nothing *)
+            succ.(v) <- Keys.get keys k (if tx.(v) <> 0 then 0 else heard v)
+          else if k < 0 then succ.(v) <- k (* crashed: frozen *)
+          else
+            let code = heard v in
+            succ.(v) <-
+              (if code >= 2 then Keys.get keys 0 code
+               else if tags.(v) = round then Keys.get keys 0 0
+               else 0)
+        done;
+        if live then begin
+          commit round spent;
+          (* Crash adversary: after the round's exchanges, any single awake
+             node may die (key frozen, negated).  Crashing automorphic
+             twins yields automorphic sibling states — the case the
+             symmetry quotient collapses. *)
+          if spent < faults then
+            for v = 0 to n - 1 do
+              let k = succ.(v) in
+              if k > 0 then begin
+                succ.(v) <- -k;
+                commit round (spent + 1);
+                succ.(v) <- k
+              end
+            done
+        end
+      done
+    end
   in
   let report round flen =
     match progress with
@@ -584,7 +594,8 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
           report round flen
         end
       done;
-      level (round + 1) !next_len
+      if not (until_separated && Option.is_some !separated_at) then
+        level (round + 1) !next_len
     end
   in
   visit ~round:0 ~spent:0 (State.initial n);
@@ -605,6 +616,31 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
         visited_bytes = Visited.memory_bytes visited;
       };
   }
+
+let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
+    ?(faults = 0) ?pool:_ ?progress config =
+  let config = normalize config in
+  if C.size config = 0 then invalid_arg "Checker.explore: empty configuration";
+  let autos = if reduction then Symmetry.automorphisms config else [] in
+  search ~until_separated:false ~depth ~states ~autos ~faults ?progress config
+
+let breaking_time ?(horizon = 24) ?(max_states = 200_000) config =
+  let config = normalize config in
+  if C.size config = 0 then
+    invalid_arg "Checker.breaking_time: empty configuration";
+  (* Infeasible configurations never separate (Lemma 3.16): skip the
+     search, which would otherwise chase growing histories forever. *)
+  if not (Classifier.is_feasible (Fast_classifier.classify config)) then
+    Election.Optimal.Never
+  else
+    let e =
+      search ~until_separated:true ~depth:(horizon + 1) ~states:max_states
+        ~autos:[] ~faults:0 config
+    in
+    match (e.separated_at, e.exhausted) with
+    | Some r, _ -> Election.Optimal.Broken_at r
+    | None, Some `States -> Election.Optimal.Search_budget_exhausted
+    | None, (Some `Depth | None) -> Election.Optimal.Not_within_horizon
 
 let pp_violation ppf = function
   | Two_leaders vs ->

@@ -13,10 +13,10 @@
     paper's [O(n^2 σ)] bound, an infeasible one must reach a terminal
     symmetric state in which no history class is decided.
 
-    {b Universal mode} ({!explore}) fixes no machine: it branches over
-    every subset of awake history classes transmitting (the model of
-    {!Election.Optimal}), over-approximating all deterministic anonymous
-    protocols at once, with messages carrying the sender's class key.
+    {b Universal mode} ({!explore}, {!breaking_time}) fixes no machine: it
+    branches over every subset of awake history classes transmitting,
+    over-approximating all deterministic anonymous protocols at once, with
+    messages carrying the sender's class key.
     Sequential frontier BFS with a hash-consed visited set, quotiented by the
     tag-preserving automorphism group ({!Election.Symmetry.automorphisms})
     when [reduction] is on.  States are merged across rounds only beyond
@@ -155,6 +155,10 @@ val explore :
     are the same with or without one (docs/MODELCHECK.md says why the
     parallel path was removed).
 
+    Transmitting subsets are bitmasks over a state's distinct awake keys;
+    a state with more than 62 of them has more successors than any cap, so
+    reaching one sets [exhausted] to [`States] instead of expanding it.
+
     With [faults = 0] the quotient is provably the identity: nodes with
     equal histories act in lockstep, so every reachable state is invariant
     under every tag-preserving automorphism — the model checker's
@@ -166,6 +170,41 @@ val explore :
     nodes, so they break lockstep: killing a node or its automorphic twin
     yields distinct automorphic sibling states, and the quotient collapses
     them — there the reduction demonstrably shrinks the visited set. *)
+
+val breaking_time :
+  ?horizon:int ->
+  ?max_states:int ->
+  Radio_config.Config.t ->
+  Election.Optimal.outcome
+(** Exhaustive search for the optimal symmetry-breaking time on small
+    configurations — a measured companion to the paper's lower bounds and
+    its second open problem.
+
+    The {e symmetry-breaking round} of an execution is the first global
+    round at which some awake node's history differs from the history of
+    every other node (sleeping nodes all share the empty history ⊥).  No
+    leader election algorithm can decide before symmetry breaks, so the
+    minimum over all DRIPs lower-bounds every dedicated algorithm's
+    election time — this is exactly the quantity the proofs of
+    Propositions 4.1/4.3 reason about.
+
+    The search is {!explore}'s kernel with [reduction] off and no faults,
+    stopped after the first level that separates: it explores all
+    deterministic anonymous protocols restricted to class-indexed messages
+    (each history class either listens or transmits its class key; no
+    protocol can distinguish more than its history classes, and richer
+    alphabets cannot help beyond naming them).  Within that family the
+    result is exact; combined with a matching theoretical lower bound
+    (e.g. Lemma 4.2's [>= m] for [H_m]) it pins the true optimum.
+
+    Infeasible configurations answer [Never] from the classifier without a
+    search (Lemma 3.16).  Otherwise the kernel expands global rounds [0]
+    to [horizon] (default 24) with [max_states] (default [200_000]) as its
+    state cap, checked per insertion: [separated_at = Some r] is
+    [Broken_at r], a cap trip is [Search_budget_exhausted], and the depth
+    budget or an emptied frontier is [Not_within_horizon].  State count
+    grows quickly, so this is for census-sized instances.  Raises
+    [Invalid_argument] on the empty configuration. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val violation_id : violation -> string

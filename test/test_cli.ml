@@ -174,18 +174,21 @@ let test_bad_input () =
   let code, _ = anorad "classify /nonexistent/path.cfg" in
   check "nonzero on missing file" true (code <> 0)
 
+let with_config content f =
+  let path = Filename.temp_file "anorad_cli" ".cfg" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc content);
+      f path)
+
 let test_invalid_config () =
-  (* Self-loops, duplicate edges and out-of-range endpoints are usage
-     errors (exit 2 with a diagnostic), like a missing file — not
-     uncaught exceptions. *)
+  (* Self-loops, duplicate edges, out-of-range endpoints and configs with
+     no nodes are usage errors (exit 2 with a diagnostic), like a missing
+     file — not uncaught exceptions. *)
   List.iter
-    (fun (what, edges) ->
-      let path = Filename.temp_file "anorad_cli" ".cfg" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc ("config 3\ntags 0 1 2\n" ^ edges));
+    (fun (what, config, diagnostic) ->
+      with_config config (fun path ->
           List.iter
             (fun cmd ->
               let code, out =
@@ -197,12 +200,20 @@ let test_invalid_config () =
               check
                 (Printf.sprintf "%s: %s diagnostic" what cmd)
                 true
-                (contains out "invalid config"))
-            [ "classify"; "mc --explore" ]))
+                (contains out diagnostic))
+            [
+              "classify"; "elect"; "explain"; "fragility"; "optimal";
+              "mc --explore";
+            ]))
     [
-      ("self-loop", "0 0\n1 2\n");
-      ("duplicate edge", "0 1\n1 0\n");
-      ("out-of-range vertex", "0 1\n1 5\n");
+      ("self-loop", "config 3\ntags 0 1 2\n0 0\n1 2\n", "invalid config");
+      ( "duplicate edge",
+        "config 3\ntags 0 1 2\n0 1\n1 0\n",
+        "invalid config" );
+      ( "out-of-range vertex",
+        "config 3\ntags 0 1 2\n0 1\n1 5\n",
+        "invalid config" );
+      ("empty", "config 0\ntags\n", "invalid config: empty configuration");
     ];
   let code, _ = anorad "classify /nonexistent/path.cfg" in
   check_int "missing file exit 2" 2 code
@@ -681,6 +692,25 @@ let test_mc_explore_and_oracle () =
   check_int "oracle consistent exit 0" 0 code;
   check "agreement reported" true (contains out "agree everywhere")
 
+(* A 70-node path (tags i mod 3) has more nodes than a transmitter mask has
+   bits; the masks span each state's few distinct awake keys, so explore
+   answers it. *)
+let path70 =
+  let n = 70 in
+  String.concat ""
+    (Printf.sprintf "config %d\ntags %s\n" n
+       (String.concat " " (List.init n (fun i -> string_of_int (i mod 3))))
+    :: List.init (n - 1) (fun i -> Printf.sprintf "%d %d\n" i (i + 1)))
+
+let test_mc_explore_long_path () =
+  with_config path70 (fun path ->
+      let code, out =
+        anorad ("mc " ^ Filename.quote path ^ " --explore --depth 3")
+      in
+      check "explore exit 0 or 2" true (code = 0 || code = 2);
+      check "separation headline" true (contains out "separation:");
+      check "stats line" true (contains out "states:"))
+
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -821,6 +851,8 @@ let () =
           Alcotest.test_case "--sarif" `Quick test_mc_sarif;
           Alcotest.test_case "--explore and --oracle" `Quick
             test_mc_explore_and_oracle;
+          Alcotest.test_case "--explore on 70 nodes" `Quick
+            test_mc_explore_long_path;
           Alcotest.test_case "--help" `Quick test_mc_help;
         ] );
     ]

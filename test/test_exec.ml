@@ -1,7 +1,6 @@
-(* The execution subsystem: Pool scheduling/determinism/telemetry, the
-   mergeable interner, and the parallel == sequential byte-equality
-   contract for every wired sweep (census, oracle, resilience, optimal)
-   at jobs in {1, 2, 4}. *)
+(* The execution subsystem: Pool scheduling/determinism/telemetry and the
+   parallel == sequential byte-equality contract for every wired sweep
+   (census, oracle, resilience) at jobs in {1, 2, 4}. *)
 
 open Radio_exec
 
@@ -205,58 +204,6 @@ let test_busy_work () =
         (Array.fold_left ( +. ) 0. s.Pool.busy > 0.))
 
 (* ------------------------------------------------------------------ *)
-(* Intern                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_intern_sequential () =
-  let t = Intern.create ~first:1 () in
-  Alcotest.(check int) "first id" 1 (Intern.get t "a");
-  Alcotest.(check int) "second id" 2 (Intern.get t "b");
-  Alcotest.(check int) "hit" 1 (Intern.get t "a");
-  Alcotest.(check int) "size" 2 (Intern.size t);
-  Alcotest.(check int) "next" 3 (Intern.next_id t);
-  Alcotest.(check (option int)) "find hit" (Some 2) (Intern.find t "b");
-  Alcotest.(check (option int)) "find miss" None (Intern.find t "z")
-
-let test_intern_commit_matches_sequential () =
-  (* keys embed ids (parent, label) exactly like Optimal's history keys;
-     two "tasks" intern overlapping key streams, committed in submission
-     order, and the resulting global ids must equal a sequential run *)
-  let streams =
-    [
-      [ (0, "x"); (0, "y"); (1, "x") ];
-      [ (0, "y"); (0, "z"); (2, "w") ];
-      [ (1, "x"); (4, "q") ];
-    ]
-  in
-  (* sequential reference *)
-  let seq = Intern.create ~first:1 () in
-  let seq_ids =
-    List.map
-      (List.map (fun (p, l) -> Intern.get seq (p, l)))
-      (* sequential interning resolves parents against already-final ids *)
-      streams
-  in
-  (* parallel-shaped run: locals filled "concurrently", committed in order *)
-  let par = Intern.create ~first:1 () in
-  let locals = List.map (fun _ -> Intern.local par) streams in
-  let local_ids =
-    List.map2
-      (fun l stream -> List.map (fun k -> Intern.get_local l k) stream)
-      locals streams
-  in
-  let remap resolve (p, l) = (resolve p, l) in
-  let par_ids =
-    List.map2
-      (fun l ids ->
-        let resolve = Intern.commit par ~remap l in
-        List.map resolve ids)
-      locals local_ids
-  in
-  Alcotest.(check (list (list int))) "ids bit-identical" seq_ids par_ids;
-  Alcotest.(check int) "same table size" (Intern.size seq) (Intern.size par)
-
-(* ------------------------------------------------------------------ *)
 (* Parallel == sequential byte equality for the wired sweeps           *)
 (* ------------------------------------------------------------------ *)
 
@@ -296,22 +243,6 @@ let test_resilience_bytes () =
       Radio_faults.Resilience.to_csv sweep
       ^ "\n"
       ^ Format.asprintf "%a" Radio_faults.Resilience.pp sweep)
-
-let test_optimal_bytes () =
-  check_bytes_across_jobs "optimal breaking time" (fun pool ->
-      let outcomes =
-        List.map
-          (fun name ->
-            let c = catalog_config name in
-            match Election.Optimal.breaking_time ~pool ~horizon:8 c with
-            | Election.Optimal.Broken_at r ->
-                Printf.sprintf "%s: broken at %d" name r
-            | Election.Optimal.Never -> name ^ ": never"
-            | Election.Optimal.Not_within_horizon -> name ^ ": horizon"
-            | Election.Optimal.Search_budget_exhausted -> name ^ ": budget")
-          [ "two-cells"; "symmetric-pair"; "h2" ]
-      in
-      String.concat "\n" outcomes)
 
 (* ------------------------------------------------------------------ *)
 (* Bench E20 JSON                                                      *)
@@ -383,18 +314,11 @@ let () =
           Alcotest.test_case "jobs resolution" `Quick test_jobs_resolution;
           Alcotest.test_case "heavy batch" `Quick test_busy_work;
         ] );
-      ( "intern",
-        [
-          Alcotest.test_case "sequential" `Quick test_intern_sequential;
-          Alcotest.test_case "commit = sequential ids" `Quick
-            test_intern_commit_matches_sequential;
-        ] );
       ( "parallel-equals-sequential",
         [
           Alcotest.test_case "census bytes" `Slow test_census_bytes;
           Alcotest.test_case "oracle bytes" `Slow test_oracle_bytes;
           Alcotest.test_case "resilience bytes" `Slow test_resilience_bytes;
-          Alcotest.test_case "optimal bytes" `Slow test_optimal_bytes;
         ] );
       ( "bench",
         [

@@ -906,20 +906,6 @@ let effect_escape_tests =
             ]
         in
         Alcotest.(check int) "no findings" 0 (List.length findings));
-    Alcotest.test_case "Intern local views are a barrier" `Quick (fun () ->
-        let findings =
-          effect_escapes
-            [
-              ( "lib/exec/intern.ml",
-                "let table = Hashtbl.create 16\n\
-                 let commit l = Hashtbl.replace table l l\n" );
-              ( "lib/analysis/foo.ml",
-                "let go pool xs =\n\
-                \  Radio_exec.Pool.map pool ~f:(fun x -> Intern.commit x) xs\n"
-              );
-            ]
-        in
-        Alcotest.(check int) "no findings" 0 (List.length findings));
     Alcotest.test_case "allow-effect annotation is a barrier" `Quick
       (fun () ->
         let findings =
@@ -935,9 +921,8 @@ let effect_escape_tests =
         in
         Alcotest.(check int) "no findings" 0 (List.length findings));
     Alcotest.test_case "map_array is a submit site" `Quick (fun () ->
-        (* Optimal's parallel frontier expands chunks through
-           [Pool.map_array]; a chunk closure leaking into module state
-           must be caught like any other task. *)
+        (* A chunk closure submitted through [Pool.map_array] leaking
+           into module state must be caught like any other task. *)
         let findings =
           effect_escapes
             [
@@ -957,31 +942,6 @@ let effect_escape_tests =
               (Effects.cls_name f.Effects.cls);
             Alcotest.(check string) "source" "Foo.tally" f.Effects.source;
             Alcotest.(check int) "submit line" 3 f.Effects.submit_line);
-    Alcotest.test_case "frontier wave over intern views stays clean" `Quick
-      (fun () ->
-        (* The shape optimal.ml actually submits: each chunk builds a
-           local Intern view, interns successor keys into it and hands the
-           view back for the caller's in-order commit — LocalMut only. *)
-        let findings =
-          effect_escapes
-            [
-              ( "lib/exec/intern.ml",
-                "let table = Hashtbl.create 16\n\
-                 let local t = Hashtbl.copy t\n\
-                 let get_local v k = Hashtbl.replace v k k; k\n\
-                 let commit t v = Hashtbl.length v\n" );
-              ( "lib/core/wave.ml",
-                "let expand geti x = Array.init 4 (fun i -> geti (x + i))\n\
-                 let go pool intern waves =\n\
-                \  Radio_exec.Pool.map_array pool ~chunk:1\n\
-                \    ~f:(fun part ->\n\
-                \      let view = Intern.local intern in\n\
-                \      (view, Array.map (expand (Intern.get_local view)) \
-                 part))\n\
-                \    waves\n" );
-            ]
-        in
-        Alcotest.(check int) "no findings" 0 (List.length findings));
     Alcotest.test_case "worst class wins across task references" `Quick
       (fun () ->
         let findings =
@@ -1280,11 +1240,10 @@ module Frozen = struct
 
   type ecause = Edirect of string * int | Ecall of string * int
 
-  let effects ?(exempt = Effects.intern_exempt) cg =
+  let effects cg =
     let barrier (d : Callgraph.def) =
-      exempt d.Callgraph.def_path
-      || Callgraph.allowed cg ~path:d.Callgraph.def_path
-           ~line:d.Callgraph.def_line ~rule:Effects.rule
+      Callgraph.allowed cg ~path:d.Callgraph.def_path
+        ~line:d.Callgraph.def_line ~rule:Effects.rule
     in
     let table : (string, Effects.cls * ecause) Hashtbl.t =
       Hashtbl.create 64

@@ -8,6 +8,8 @@ module G = Radio_graph.Graph
 module Gen = Radio_graph.Gen
 module O = Election.Optimal
 
+let breaking_time = Radio_mc.Checker.breaking_time
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -20,21 +22,21 @@ let broken_at = function
 let test_h_family_matches_lemma_4_2 () =
   (* Lemma 4.2: every election algorithm for H_m needs at least m rounds;
      the search shows m is exactly achievable - the bound is tight. *)
-  for m = 1 to 5 do
+  for m = 1 to 8 do
     check_int (Printf.sprintf "H_%d optimal = m" m) m
-      (broken_at (O.breaking_time (F.h_family m)))
+      (broken_at (breaking_time (F.h_family m)))
   done
 
 let test_trivial_cases () =
   (* A lone tag-0 node among sleepers separates at round 0. *)
-  check_int "two_cells" 0 (broken_at (O.breaking_time (F.two_cells ())));
-  check_int "staircase" 0 (broken_at (O.breaking_time (F.staircase_clique 4)));
+  check_int "two_cells" 0 (broken_at (breaking_time (F.two_cells ())));
+  check_int "staircase" 0 (broken_at (breaking_time (F.staircase_clique 4)));
   check_int "single node" 0
-    (broken_at (O.breaking_time (C.create (G.empty 1) [| 0 |])))
+    (broken_at (breaking_time (C.create (G.empty 1) [| 0 |])))
 
 let test_infeasible_never () =
   List.iter
-    (fun config -> check "Never" true (O.breaking_time config = O.Never))
+    (fun config -> check "Never" true (breaking_time config = O.Never))
     [
       F.s_family 2;
       F.symmetric_pair ();
@@ -45,7 +47,7 @@ let test_optimal_le_canonical () =
   (* The canonical DRIP cannot separate earlier than the optimum. *)
   List.iter
     (fun config ->
-      match (O.breaking_time config, O.canonical_breaking_time config) with
+      match (breaking_time config, O.canonical_breaking_time config) with
       | O.Broken_at opt, Some can ->
           check "optimal <= canonical separation" true (opt <= can)
       | _ -> Alcotest.fail "expected both measurements")
@@ -65,7 +67,7 @@ let test_canonical_separation_le_completion () =
 let test_budget_exhaustion_reported () =
   (* A tiny state budget on a non-trivial feasible instance gives up
      explicitly rather than looping. *)
-  match O.breaking_time ~max_states:1 (F.h_family 4) with
+  match breaking_time ~max_states:1 (F.h_family 4) with
   | O.Search_budget_exhausted | O.Broken_at _ ->
       (* Broken_at is possible if separation occurs before the budget
          check; both are acceptable terminations. *)
@@ -73,21 +75,30 @@ let test_budget_exhaustion_reported () =
   | O.Never | O.Not_within_horizon -> Alcotest.fail "wrong outcome"
 
 let test_horizon_reported () =
-  (* With a horizon below the optimum, the search reports it. *)
-  match O.breaking_time ~horizon:1 (F.h_family 3) with
+  (* With a horizon below the optimum, the search reports it; round
+     [horizon] itself is still searched. *)
+  (match breaking_time ~horizon:1 (F.h_family 3) with
   | O.Not_within_horizon -> check "horizon" true true
-  | _ -> Alcotest.fail "expected horizon exhaustion"
+  | _ -> Alcotest.fail "expected horizon exhaustion");
+  (match breaking_time ~horizon:2 (F.h_family 3) with
+  | O.Not_within_horizon -> check "horizon 2" true true
+  | _ -> Alcotest.fail "expected horizon exhaustion at horizon 2");
+  check_int "horizon 3 reaches H_3's round" 3
+    (broken_at (breaking_time ~horizon:3 (F.h_family 3)))
 
 let test_small_census_consistency () =
-  (* On a sample of the small universe: feasible => optimal breaking time
-     exists and is <= the canonical separation round. *)
-  let graphs = Radio_graph.Enumerate.connected_up_to_iso 3 in
+  (* Every connected configuration with n <= 4 and span <= 2: feasible =>
+     optimal breaking time exists and is <= the canonical separation
+     round. *)
+  let graphs =
+    List.concat_map Radio_graph.Enumerate.connected_up_to_iso [ 1; 2; 3; 4 ]
+  in
   List.iter
     (fun g ->
       List.iter
         (fun tags ->
           let config = C.create g tags in
-          match O.breaking_time config with
+          match breaking_time config with
           | O.Broken_at opt -> (
               match O.canonical_breaking_time config with
               | Some can -> check "opt <= canonical" true (opt <= can)
@@ -99,6 +110,14 @@ let test_small_census_consistency () =
               Alcotest.fail "search should resolve tiny instances")
         (Election.Census.tag_assignments ~n:(G.size g) ~max_span:2))
     graphs
+
+let test_long_path () =
+  (* 70 nodes, more than a transmitter mask has bits: the mask spans a
+     state's distinct awake keys, which stay few on this path. *)
+  let n = 70 in
+  let g = G.of_edges n (List.init (n - 1) (fun i -> (i, i + 1))) in
+  check_int "70-node path, tags i mod 3" 2
+    (broken_at (breaking_time (C.create g (Array.init n (fun i -> i mod 3)))))
 
 let () =
   Alcotest.run "optimal"
@@ -116,6 +135,7 @@ let () =
           Alcotest.test_case "budget reported" `Quick
             test_budget_exhaustion_reported;
           Alcotest.test_case "horizon reported" `Quick test_horizon_reported;
+          Alcotest.test_case "70-node path" `Quick test_long_path;
           Alcotest.test_case "census consistency" `Slow
             test_small_census_consistency;
         ] );

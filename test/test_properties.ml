@@ -457,7 +457,7 @@ let prop_optimal_consistent =
       let _, n, span, _ = params in
       QCheck.assume (n <= 5 && span <= 3);
       let config = build params in
-      match Election.Optimal.breaking_time ~max_states:100_000 config with
+      match Radio_mc.Checker.breaking_time ~max_states:100_000 config with
       | Election.Optimal.Never -> not (Fe.is_feasible config)
       | Election.Optimal.Broken_at opt -> (
           Fe.is_feasible config

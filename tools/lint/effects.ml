@@ -21,11 +21,9 @@
    [map_array]/[map_reduce]/[iter_batches] — it runs
    concurrently on many domains) must stay [<= LocalMut].  A task that transitively reaches
    [SharedMut] or [IO] is reported with the full chain from the submit
-   site to the offending primitive.  [Intern] local views
-   (lib/exec/intern.ml — provisional ids replayed at the batch barrier,
-   see docs/PARALLEL.md) and functions annotated [radiolint: allow effect]
-   are the only sanctioned barriers: classes neither originate in nor flow
-   through them. *)
+   site to the offending primitive.  Functions annotated
+   [radiolint: allow effect] are the only sanctioned barriers: classes
+   neither originate in nor flow through them. *)
 
 type cls = Pure | Local_mut | Shared_mut | Io
 
@@ -152,14 +150,6 @@ type finding = {
   source : string;  (* the primitive or mutable binding reached *)
 }
 
-(* The default barrier: Intern local views are the sanctioned shared-state
-   protocol (commit replays them deterministically at the batch barrier). *)
-let intern_exempt path =
-  let path = Rules.normalize path in
-  let needle = "lib/exec/intern.ml" in
-  let nl = String.length needle and pl = String.length path in
-  pl >= nl && String.sub path (pl - nl) nl = needle
-
 type result = { cg : Callgraph.t; res : Df.result }
 
 (* Direct class of one reference, with the name to blame.  Shared-state
@@ -187,11 +177,10 @@ let direct_of cg ~top (r : Callgraph.reference) =
               r.Callgraph.ref_line )
         else None
 
-let analyze ?(exempt = intern_exempt) cg =
+let analyze cg =
   let barrier (d : Callgraph.def) =
-    exempt d.Callgraph.def_path
-    || Callgraph.allowed cg ~path:d.Callgraph.def_path
-         ~line:d.Callgraph.def_line ~rule
+    Callgraph.allowed cg ~path:d.Callgraph.def_path
+      ~line:d.Callgraph.def_line ~rule
   in
   let seeds ~top (d : Callgraph.def) =
     List.filter_map (direct_of cg ~top) d.Callgraph.refs
@@ -217,7 +206,7 @@ let infos res =
            (b.def.Callgraph.def_path, b.def.Callgraph.def_line,
             b.def.Callgraph.display))
 
-let classify ?exempt cg = infos (analyze ?exempt cg)
+let classify cg = infos (analyze cg)
 
 (* ------------------------------------------------------------------ *)
 (* The escape check                                                    *)
@@ -265,8 +254,8 @@ let task_offence res (d : Callgraph.def) (t : Callgraph.task) =
           if rank cc > rank wc then candidate else worst)
     None t.Callgraph.task_refs
 
-let escapes ?exempt cg =
-  let res = analyze ?exempt cg in
+let escapes cg =
+  let res = analyze cg in
   Callgraph.defs cg
   |> List.filter_map (fun (d : Callgraph.def) ->
          if d.Callgraph.tasks = [] || Df.barrier res.res d then None

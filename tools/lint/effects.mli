@@ -25,10 +25,9 @@
     closure — the [~f] argument of
     [run_batch]/[map]/[map_array]/[map_reduce]/[iter_batches], which
     runs on worker domains — must stay
-    [<= LocalMut].  Barriers, through which
-    classes neither originate nor flow: [lib/exec/intern.ml] (local views
-    are replayed deterministically at the batch barrier) and functions
-    annotated [radiolint: allow effect]. *)
+    [<= LocalMut].  The only barriers, through which classes neither
+    originate nor flow, are functions annotated
+    [radiolint: allow effect]. *)
 
 type cls = Pure | Local_mut | Shared_mut | Io
 
@@ -51,9 +50,6 @@ val mutation : string list -> bool
 (** Direct-effect classification of a flattened longident (exposed for
     tests; {!classify} applies them plus mutable-binding resolution). *)
 
-val intern_exempt : string -> bool
-(** The default barrier predicate: paths ending in [lib/exec/intern.ml]. *)
-
 type hop = Dataflow.hop = { name : string; hop_path : string; hop_line : int }
 
 type info = {
@@ -72,11 +68,11 @@ type finding = {
   source : string;  (** the primitive or mutable binding reached *)
 }
 
-val classify : ?exempt:(string -> bool) -> Callgraph.t -> info list
+val classify : Callgraph.t -> info list
 (** Per-function effect classes with witnesses, sorted by definition
-    site.  [exempt] defaults to {!intern_exempt}. *)
+    site. *)
 
-val escapes : ?exempt:(string -> bool) -> Callgraph.t -> finding list
+val escapes : Callgraph.t -> finding list
 (** The pool-task escape check: one finding per submitting function whose
     task closure transitively reaches a class above [LocalMut] (the worst
     such class, with its witness chain).  Sorted by definition site. *)
